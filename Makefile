@@ -66,19 +66,21 @@ chaos-guard:
 # Continuous-scheduler chaos: the queue-log torn-tail/corrupt-tail
 # recovery drills, the kill-and-resume sweep (crash after every queue-log
 # record; resumed publishes byte-identical to an uninterrupted control),
-# the priority-aging starvation bound, the multi-tier staleness soak, and
-# the scheduler's crash-resume drill at the service layer.
+# the priority-aging starvation bound, the multi-tier staleness soak, the
+# keyed dispatch order against the reference scan, and the scheduler's
+# crash-resume drill at the service layer.
 chaos-sched:
-	$(GO) test -race -short -run 'Scheduler|QueueLog|ServiceSched|ServiceSetTier' ./internal/sched/ .
+	$(GO) test -race -short -run 'Scheduler|QueueLog|ServiceSched|ServiceSetTier|Dispatch' ./internal/sched/ .
 
 # Storage-integrity chaos: the footer codec (round-trip, legacy, rot
 # detection on every read), deterministic BitFlip/Truncate placement, the
 # end-to-end bit-rot drill (zero corrupt responses escape; post-repair
 # fleet byte-identical to an uninjected control), scrub GC × carry-forward
-# retention, peer re-replication of deleted blobs, and the poison-free
-# previous-generation fallback.
+# retention, peer re-replication of deleted blobs, the poison-free
+# previous-generation fallback, and in-place appends that keep the footer
+# verified (bit flips, injected failures, concurrent readers).
 chaos-integrity:
-	$(GO) test -race -short -run 'Integrity|Scrub|Footer|BitFlip|Truncate|AtRest|WriteLegacy|CreateClose|ReviveHeals|PrepareWithout|CorruptionStreams|CorruptKind' ./internal/dfs/ ./internal/faults/ ./internal/store/
+	$(GO) test -race -short -run 'Integrity|Scrub|Footer|BitFlip|Truncate|AtRest|WriteLegacy|CreateClose|ReviveHeals|PrepareWithout|CorruptionStreams|CorruptKind|Append' ./internal/dfs/ ./internal/faults/ ./internal/store/
 
 # Fuzz smoke: a few seconds per fuzz target (journal recovery, the dfs
 # integrity footer, segment decoding) so hostile-input regressions surface

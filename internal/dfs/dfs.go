@@ -4,15 +4,17 @@
 // recommendations.
 //
 // The simulation provides exactly the contract the pipeline depends on —
-// whole-file writes with atomic visibility, atomic rename, list-by-prefix,
-// and shared access from concurrently running tasks — plus failure
-// injection so fault-tolerance paths can be tested deterministically.
+// whole-file writes with atomic visibility, atomic appends, atomic rename,
+// list-by-prefix, and shared access from concurrently running tasks — plus
+// failure injection so fault-tolerance paths can be tested
+// deterministically.
 package dfs
 
 import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"sort"
 	"strings"
@@ -123,22 +125,56 @@ func (f *FS) WriteLegacy(path string, data []byte) error {
 	return nil
 }
 
+// Append extends the footered blob at path with data, atomically. The
+// blob is extended in place and its footer rewritten: the new checksum is
+// the stored one extended over data, so the cost is O(len(data)), not
+// O(file), and the blob stays fully verified by the next Read. Injection
+// rules apply as for Write — an error rule fails the append with the
+// stored image untouched, and a corruption rule garbles the new image.
+// A missing path returns ErrNotExist; a blob without an intact footer
+// (footerless, or a length echo that disagrees with the blob) returns
+// ErrCorrupt and is left untouched.
+func (f *FS) Append(path string, data []byte) error {
+	if err := f.inject(faults.OpWrite, path); err != nil {
+		return fmt.Errorf("appending %s: %w", path, err)
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	image, ok := f.files[path]
+	if !ok {
+		return fmt.Errorf("appending %s: %w", path, ErrNotExist)
+	}
+	if !hasFooter(image) {
+		return fmt.Errorf("appending %s: no integrity footer: %w", path, ErrCorrupt)
+	}
+	n, sum, err := footerFields(image)
+	if err != nil {
+		return fmt.Errorf("appending %s: %w", path, err)
+	}
+	image = append(image[:n], data...)
+	image = appendFooterFields(image, n+len(data), crc32.Update(sum, footerTable, data))
+	f.files[path] = f.inj.Load().CorruptData(faults.OpWrite, path, image)
+	atomic.AddInt64(&f.bytesWritten, int64(len(data)))
+	return nil
+}
+
 // Read returns a copy of the file's payload at path, verifying and
 // stripping the integrity footer. A blob whose footer fails verification
 // returns an error wrapping ErrCorrupt; a footerless legacy blob is
-// returned as-is.
+// returned as-is. The copy is taken under the lock because Append extends
+// blobs in place.
 func (f *FS) Read(path string) ([]byte, error) {
 	if err := f.inject(faults.OpRead, path); err != nil {
 		return nil, fmt.Errorf("reading %s: %w", path, err)
 	}
 	f.mu.RLock()
 	data, ok := f.files[path]
+	cp := make([]byte, len(data))
+	copy(cp, data)
 	f.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("reading %s: %w", path, ErrNotExist)
 	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
 	cp = f.inj.Load().CorruptData(faults.OpRead, path, cp)
 	payload, verified, err := StripFooter(cp)
 	if err != nil {
@@ -209,8 +245,8 @@ func (f *FS) Exists(path string) bool {
 // integrity footer, so it matches what Read returns).
 func (f *FS) Size(path string) (int64, error) {
 	f.mu.RLock()
+	defer f.mu.RUnlock()
 	data, ok := f.files[path]
-	f.mu.RUnlock()
 	if !ok {
 		return 0, fmt.Errorf("stat %s: %w", path, ErrNotExist)
 	}

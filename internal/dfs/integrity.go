@@ -52,10 +52,33 @@ var ErrCorrupt = errors.New("dfs: blob failed integrity verification")
 func AppendFooter(payload []byte) []byte {
 	out := make([]byte, 0, len(payload)+FooterLen)
 	out = append(out, payload...)
+	return appendFooterFields(out, len(payload), crc32.Checksum(payload, footerTable))
+}
+
+// appendFooterFields appends a footer for a payload of length n with
+// checksum sum.
+func appendFooterFields(out []byte, n int, sum uint32) []byte {
 	out = append(out, footerMagic...)
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
-	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, footerTable))
-	return out
+	out = binary.LittleEndian.AppendUint64(out, uint64(n))
+	return binary.LittleEndian.AppendUint32(out, sum)
+}
+
+// hasFooter reports whether blob ends in an integrity footer's magic.
+func hasFooter(blob []byte) bool {
+	return len(blob) >= FooterLen &&
+		string(blob[len(blob)-FooterLen:len(blob)-FooterLen+len(footerMagic)]) == string(footerMagic)
+}
+
+// footerFields returns the payload length and stored checksum of a blob
+// that hasFooter, or an ErrCorrupt error when the length echo disagrees
+// with the blob.
+func footerFields(blob []byte) (n int, sum uint32, err error) {
+	f := blob[len(blob)-FooterLen:]
+	n = len(blob) - FooterLen
+	if echo := binary.LittleEndian.Uint64(f[4:12]); echo != uint64(n) {
+		return 0, 0, fmt.Errorf("footer length echo %d != payload length %d: %w", echo, n, ErrCorrupt)
+	}
+	return n, binary.LittleEndian.Uint32(f[12:16]), nil
 }
 
 // StripFooter verifies blob's integrity footer and returns the payload
@@ -65,20 +88,14 @@ func AppendFooter(payload []byte) []byte {
 // ErrCorrupt) when the footer is present but the length echo or checksum
 // disagrees with the payload.
 func StripFooter(blob []byte) (payload []byte, verified bool, err error) {
-	if len(blob) < FooterLen {
+	if !hasFooter(blob) {
 		return blob, false, nil
 	}
-	f := blob[len(blob)-FooterLen:]
-	if string(f[:4]) != string(footerMagic) {
-		return blob, false, nil
+	n, want, err := footerFields(blob)
+	if err != nil {
+		return nil, false, err
 	}
-	payload = blob[:len(blob)-FooterLen]
-	echo := binary.LittleEndian.Uint64(f[4:12])
-	if echo != uint64(len(payload)) {
-		return nil, false, fmt.Errorf("footer length echo %d != payload length %d: %w",
-			echo, len(payload), ErrCorrupt)
-	}
-	want := binary.LittleEndian.Uint32(f[12:16])
+	payload = blob[:n]
 	if got := crc32.Checksum(payload, footerTable); got != want {
 		return nil, false, fmt.Errorf("payload checksum %08x != footer %08x: %w",
 			got, want, ErrCorrupt)

@@ -14,25 +14,30 @@ import (
 //
 //	[4-byte LE payload length][4-byte LE CRC32 (IEEE) of payload][payload]
 //
-// after a 4-byte magic header. The simulated FS commits whole files
-// atomically, so a torn tail cannot occur here; the framing defends the
-// format against real filesystems, where a crashed writer can leave a
-// partial final record. OpenJournal truncates any undecodable suffix
-// (short frame, bad checksum) rather than failing: journal consumers must
-// treat records as completion markers for work whose artifacts are
-// already durable, so losing a suffix only re-runs work, never corrupts
-// it.
+// after a 4-byte magic header. The simulated FS commits writes and
+// appends atomically, so a torn tail cannot occur here; the framing
+// defends the format against real filesystems, where a crashed writer can
+// leave a partial final record. OpenJournal truncates any undecodable
+// suffix (short frame, bad checksum) rather than failing: journal
+// consumers must treat records as completion markers for work whose
+// artifacts are already durable, so losing a suffix only re-runs work,
+// never corrupts it.
 //
-// The FS has no append primitive, so each Append rewrites the whole file.
-// Day journals hold tens of small records; the rewrite cost is negligible
-// next to the work each record commits.
+// The first Append after OpenJournal writes the whole good prefix plus
+// its record with FS.Write, which also drops any truncated tail; every
+// later Append extends the file with FS.Append, so a record costs
+// O(record), not O(file). The file stays one footered, verified blob
+// throughout.
 type Journal struct {
 	fs   *FS
 	path string
 
-	mu  sync.Mutex
-	buf []byte // encoded journal, including magic header
-	n   int    // decoded record count
+	mu sync.Mutex
+	// prefix is the encoded good prefix (magic header included) still to
+	// be written; nil once the file holds it.
+	prefix []byte
+	frame  []byte // scratch for one framed record
+	n      int    // decoded record count
 }
 
 // journalMagic versions the on-disk format.
@@ -48,10 +53,10 @@ const journalHeaderLen = 8 // length + crc per record
 // returns it together with the payloads already committed there, in
 // append order. A missing file yields an empty journal. A trailing
 // undecodable region — torn frame or checksum mismatch — is truncated:
-// subsequent Appends rewrite the file from the last good record.
+// the next Append rewrites the file from the last good record.
 func OpenJournal(fs *FS, path string) (*Journal, [][]byte, error) {
 	j := &Journal{fs: fs, path: path}
-	j.buf = append(j.buf, journalMagic...)
+	j.prefix = append(j.prefix, journalMagic...)
 	data, err := fs.Read(path)
 	if errors.Is(err, ErrNotExist) {
 		return j, nil, nil
@@ -67,12 +72,10 @@ func OpenJournal(fs *FS, path string) (*Journal, [][]byte, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("opening journal %s: %w", path, err)
 	}
-	if good < len(journalMagic) {
-		// File shorter than the header: treat as empty, keep the magic.
-		good = 0
-		j.buf = append(j.buf[:0], journalMagic...)
-	} else {
-		j.buf = append(j.buf[:0], data[:good]...)
+	// A file shorter than the header is treated as empty: the prefix
+	// stays the bare magic.
+	if good >= len(journalMagic) {
+		j.prefix = data[:good]
 	}
 	j.n = len(recs)
 	return j, recs, nil
@@ -113,20 +116,24 @@ func decodeJournal(data []byte) (recs [][]byte, good int, err error) {
 	return recs, good, nil
 }
 
-// Append durably commits one record and returns its zero-based index. On
-// write failure the in-memory image is rolled back, so a retried Append
-// of the same payload cannot double-commit.
+// Append durably commits one record and returns its zero-based index. A
+// failed write or append leaves both the file and the in-memory state
+// unchanged, so a retried Append of the same payload cannot double-commit.
 func (j *Journal) Append(payload []byte) (int, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	n0 := len(j.buf)
-	var hdr [journalHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
-	j.buf = append(j.buf, hdr[:]...)
-	j.buf = append(j.buf, payload...)
-	if err := j.fs.Write(j.path, j.buf); err != nil {
-		j.buf = j.buf[:n0]
+	j.frame = binary.LittleEndian.AppendUint32(j.frame[:0], uint32(len(payload)))
+	j.frame = binary.LittleEndian.AppendUint32(j.frame, crc32.ChecksumIEEE(payload))
+	j.frame = append(j.frame, payload...)
+	if j.prefix != nil {
+		n0 := len(j.prefix)
+		j.prefix = append(j.prefix, j.frame...)
+		if err := j.fs.Write(j.path, j.prefix); err != nil {
+			j.prefix = j.prefix[:n0]
+			return 0, err
+		}
+		j.prefix = nil
+	} else if err := j.fs.Append(j.path, j.frame); err != nil {
 		return 0, err
 	}
 	idx := j.n

@@ -7,10 +7,14 @@
 // typical cost rather than zero. Individual samples are damped before they
 // fold in: one pathological wall (a GC pause, a flaky replica retry storm)
 // moves the estimate by at most a bounded factor.
+//
+// Each kind's estimates are also kept in a sorted slice, updated on every
+// Observe, so the cold-tenant median is one index rather than a walk and a
+// sort of every estimate: Predict costs O(1) and allocates nothing.
 package estimate
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -82,11 +86,31 @@ type Estimator struct {
 
 	mu  sync.Mutex
 	est map[key]time.Duration
+	// sorted holds, per kind, every tenant's estimate in ascending order;
+	// the fleet median is sorted[kind][(n-1)/2].
+	sorted map[string][]time.Duration
 }
 
 // New returns an estimator with the given options.
 func New(opts Options) *Estimator {
-	return &Estimator{opts: opts.defaulted(), est: map[key]time.Duration{}}
+	return &Estimator{
+		opts:   opts.defaulted(),
+		est:    map[key]time.Duration{},
+		sorted: map[string][]time.Duration{},
+	}
+}
+
+// set records d as the pair's estimate, moving it within the kind's
+// sorted slice. Callers hold e.mu.
+func (e *Estimator) set(k key, d time.Duration) {
+	vals := e.sorted[k.kind]
+	if old, ok := e.est[k]; ok {
+		i, _ := slices.BinarySearch(vals, old)
+		vals = slices.Delete(vals, i, i+1)
+	}
+	i, _ := slices.BinarySearch(vals, d)
+	e.sorted[k.kind] = slices.Insert(vals, i, d)
+	e.est[k] = d
 }
 
 // Observe folds one measured runtime into the (tenant, kind) estimate.
@@ -101,7 +125,7 @@ func (e *Estimator) Observe(tenant catalog.RetailerID, kind string, d time.Durat
 	defer e.mu.Unlock()
 	cur, ok := e.est[k]
 	if !ok {
-		e.est[k] = d
+		e.set(k, d)
 		return
 	}
 	if f := e.opts.OutlierFactor; f > 1 && cur > 0 {
@@ -113,7 +137,7 @@ func (e *Estimator) Observe(tenant catalog.RetailerID, kind string, d time.Durat
 			d = hi
 		}
 	}
-	e.est[k] = cur + time.Duration(e.opts.Alpha*float64(d-cur))
+	e.set(k, cur+time.Duration(e.opts.Alpha*float64(d-cur)))
 }
 
 // Predict returns the estimated runtime for (tenant, kind) and where the
@@ -125,16 +149,10 @@ func (e *Estimator) Predict(tenant catalog.RetailerID, kind string) (time.Durati
 	if d, ok := e.est[key{tenant, kind}]; ok {
 		return d, SourceExact
 	}
-	var vals []time.Duration
-	for k, d := range e.est {
-		if k.kind == kind {
-			vals = append(vals, d)
-		}
-	}
+	vals := e.sorted[kind]
 	if len(vals) == 0 {
 		return e.opts.Default, SourceDefault
 	}
-	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
 	return vals[(len(vals)-1)/2], SourceFleetMedian
 }
 

@@ -241,6 +241,9 @@ type Scheduler struct {
 	opts Options
 	est  *estimate.Estimator
 	exec Executor
+	// pick replaces selectJob when set (tests run a reference selection
+	// through the same loop).
+	pick func(pending []*Job, t time.Duration, probe *Job) int
 
 	mu      sync.Mutex
 	running bool
@@ -303,38 +306,50 @@ func (s *Scheduler) costOf(j *Job) time.Duration {
 	return d
 }
 
-// remaining is the predicted virtual cost of a job plus its successors
-// through publish — the "work left in this cycle" term of the slack
-// priority.
-func (s *Scheduler) remaining(j *Job) time.Duration {
-	var sum time.Duration
-	for i := kindIndex(j.Kind); i < len(kindChain); i++ {
-		sum += s.costOf(&Job{Tenant: j.Tenant, Cycle: j.Cycle, Kind: kindChain[i], Tier: j.Tier})
-	}
-	return sum
+// dispatchKey is a ready job's priority at one dispatch instant, computed
+// once per job per dispatch. Two levels: jobs starving past MaxQueueAge
+// form a FIFO class ahead of everything (the aging bound); everyone else
+// ranks by deadline slack — virtual time to the cycle's deadline (due +
+// one period) minus predicted remaining work through publish — then tier
+// urgency. Final tie-breaks are total and deterministic.
+type dispatchKey struct {
+	starved bool
+	// slack is set only for non-starved jobs.
+	slack time.Duration
 }
 
-// jobLess orders two queued jobs for dispatch at virtual time t. Two
-// levels: jobs starving past MaxQueueAge form a FIFO class ahead of
-// everything (the aging bound); everyone else ranks by deadline slack —
-// virtual time to the cycle's deadline (due + one period) minus predicted
-// remaining work — then tier urgency. Final tie-breaks are total and
-// deterministic.
-func (s *Scheduler) jobLess(a, b *Job, t time.Duration) bool {
-	as := t-a.Ready > s.opts.MaxQueueAge
-	bs := t-b.Ready > s.opts.MaxQueueAge
-	if as != bs {
-		return as
+// keyOf computes j's dispatch key at virtual time t. probe is scratch
+// storage for the per-kind cost queries, so computing a key allocates
+// nothing.
+func (s *Scheduler) keyOf(j *Job, t time.Duration, probe *Job) dispatchKey {
+	if t-j.Ready > s.opts.MaxQueueAge {
+		return dispatchKey{starved: true}
 	}
-	if as {
+	var remaining time.Duration
+	for i := kindIndex(j.Kind); i < len(kindChain); i++ {
+		if s.opts.VirtualCost != nil {
+			*probe = Job{Tenant: j.Tenant, Cycle: j.Cycle, Kind: kindChain[i], Tier: j.Tier}
+			remaining += s.opts.VirtualCost(probe)
+		} else {
+			d, _ := s.est.Predict(j.Tenant, string(kindChain[i]))
+			remaining += d
+		}
+	}
+	return dispatchKey{slack: j.Due + s.period(j.Tier) - t - remaining}
+}
+
+// keyLess orders two ready jobs by their dispatch keys.
+func keyLess(a *Job, ka dispatchKey, b *Job, kb dispatchKey) bool {
+	if ka.starved != kb.starved {
+		return ka.starved
+	}
+	if ka.starved {
 		if a.Ready != b.Ready {
 			return a.Ready < b.Ready
 		}
 	} else {
-		sa := a.Due + s.period(a.Tier) - t - s.remaining(a)
-		sb := b.Due + s.period(b.Tier) - t - s.remaining(b)
-		if sa != sb {
-			return sa < sb
+		if ka.slack != kb.slack {
+			return ka.slack < kb.slack
 		}
 		if ra, rb := a.Tier.rank(), b.Tier.rank(); ra != rb {
 			return ra < rb
@@ -347,6 +362,23 @@ func (s *Scheduler) jobLess(a, b *Job, t time.Duration) bool {
 		return a.Cycle < b.Cycle
 	}
 	return kindIndex(a.Kind) < kindIndex(b.Kind)
+}
+
+// selectJob returns the index in pending of the ready job (Ready <= t)
+// to dispatch at t; at least one pending job must be ready.
+func (s *Scheduler) selectJob(pending []*Job, t time.Duration, probe *Job) int {
+	best := -1
+	var bestKey dispatchKey
+	for i, j := range pending {
+		if j.Ready > t {
+			continue
+		}
+		k := s.keyOf(j, t, probe)
+		if best < 0 || keyLess(j, k, pending[best], bestKey) {
+			best, bestKey = i, k
+		}
+	}
+	return best
 }
 
 // Run drives the scheduler to completion: open (or resume) the queue log,
@@ -468,6 +500,11 @@ func (s *Scheduler) run(ctx context.Context) (Report, error) {
 
 	freeAt := make([]time.Duration, s.opts.Workers)
 	var pending []*Job
+	var probe Job
+	pick := s.selectJob
+	if s.pick != nil {
+		pick = s.pick
+	}
 	var simNow time.Duration
 
 	canAdmit := func(ts *tenantState) bool {
@@ -588,15 +625,7 @@ func (s *Scheduler) run(ctx context.Context) (Report, error) {
 		simNow = t
 
 		// Priority selection among ready jobs.
-		best := -1
-		for i, j := range pending {
-			if j.Ready > t {
-				continue
-			}
-			if best < 0 || s.jobLess(j, pending[best], t) {
-				best = i
-			}
-		}
+		best := pick(pending, t, &probe)
 		job := pending[best]
 		pending = append(pending[:best], pending[best+1:]...)
 

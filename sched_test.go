@@ -9,10 +9,16 @@ import (
 	"testing"
 )
 
+// schedConfig trains single-threaded: DemoConfig's two-thread Hogwild
+// updates race by design, so two runs of the same fleet can train
+// slightly different models and rank near-tied recommendations
+// differently, which a control-vs-resumed comparison would report as a
+// divergence.
 func schedConfig() Config {
 	cfg := DemoConfig()
 	cfg.SchedWorkers = 2
 	cfg.SchedCycles = 2
+	cfg.TrainThreads = 1
 	return cfg
 }
 

@@ -102,8 +102,9 @@ run_heavy() {
 	# Queue-log torn-tail/corrupt-tail recovery, the kill-and-resume sweep
 	# (crash after every queue-log record; resumed publishes byte-identical
 	# to an uninterrupted control), the priority-aging starvation bound, the
-	# multi-tier staleness soak, and the service-layer crash-resume drill.
-	go test -race -short -run 'Scheduler|QueueLog|ServiceSched|ServiceSetTier' \
+	# multi-tier staleness soak, the keyed dispatch order against the
+	# reference scan, and the service-layer crash-resume drill.
+	go test -race -short -run 'Scheduler|QueueLog|ServiceSched|ServiceSetTier|Dispatch' \
 		./internal/sched/ .
 
 	echo "== storage-integrity chaos suite"
@@ -111,9 +112,10 @@ run_heavy() {
 	# passthrough, detection on every read), deterministic BitFlip/Truncate
 	# placement, the chaos drill (zero corrupt responses escape; the post-
 	# repair fleet is byte-identical to an uninjected control), scrub GC ×
-	# carry-forward retention, peer re-replication of deleted blobs, and the
-	# poison-free previous-generation fallback.
-	go test -race -short -run 'Integrity|Scrub|Footer|BitFlip|Truncate|AtRest|WriteLegacy|CreateClose|ReviveHeals|PrepareWithout|CorruptionStreams|CorruptKind' \
+	# carry-forward retention, peer re-replication of deleted blobs, the
+	# poison-free previous-generation fallback, and in-place appends that
+	# keep the footer verified.
+	go test -race -short -run 'Integrity|Scrub|Footer|BitFlip|Truncate|AtRest|WriteLegacy|CreateClose|ReviveHeals|PrepareWithout|CorruptionStreams|CorruptKind|Append' \
 		./internal/dfs/ ./internal/faults/ ./internal/store/
 
 	echo "== fuzz smoke"
