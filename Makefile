@@ -17,35 +17,39 @@ vet:
 test:
 	$(GO) test ./...
 
+# The full suite under the race detector, shuffled and cache-busted.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -shuffle=on -count=1 ./...
 
 # The short-mode chaos suite: per-tenant fault injection, quarantine
 # lifecycle, checkpoint corruption, and stale-serving degradation.
 chaos:
-	$(GO) test -race -short -run 'Chaos|Quarantine|Garbled|CheckpointWrite|Degraded|Stale' ./internal/pipeline/ ./internal/serving/ ./internal/faults/ ./internal/retry/
+	$(GO) test -race -short -run 'Chaos|Quarantine|Garbled|CheckpointWrite|Degraded' ./internal/pipeline/ ./internal/serving/ ./internal/faults/ ./internal/retry/
 
 # The worker-preemption chaos suite: preemption recovery, lease expiry,
 # speculative execution, blacklisting, worker-scoped fault rules, the
 # byte-identical preempted pipeline day, and mid-job cancellation (fails
 # on goroutine leaks).
 chaos-workers:
-	$(GO) test -race -short -run 'Preempt|Lease|Speculative|Blacklist|WorkerPlan|Cancellation|NoWorkers' ./internal/mapreduce/ ./internal/faults/ ./internal/core/inference/ ./internal/pipeline/
+	$(GO) test -race -short -run 'Preempt|Lease|Speculative|Blacklist|WorkerPlan|Cancellation' ./internal/mapreduce/ ./internal/faults/ ./internal/core/inference/ ./internal/pipeline/
 
 # The serving-store chaos suite: replica crash mid-publish (no torn
 # generations, zero failed requests), hedged-read cancellation and drain
 # (fails on goroutine leaks), failover, load shedding, publish rollback,
-# and crash/revive catch-up.
+# crash/revive catch-up, a carried-forward segment served through hedged
+# reads and the hot-key cache, and answers labelled with the generation
+# that produced them while publishes land mid-request.
 chaos-store:
-	$(GO) test -race -short -run 'TornGeneration|Hedge|Failover|Shed|RollsBack|Revive|UniformlyStale|ContinuousChaos|CloseDrains|Ring|MixedFormat' ./internal/store/
+	$(GO) test -race -short -run 'TornGeneration|Hedge|Failover|Shed|RollsBack|Revive|UniformlyStale|ContinuousChaos|CloseDrains|Ring|CarryForward|Labels' ./internal/store/
 
 # The crash-resume chaos suite: the day-journal codec (torn-tail repair,
 # append rollback), checkpoint temp-file hygiene, the full coordinator
 # crash sweep (crash after every journal record, resume, byte-identical
-# outputs), in-process incremental resume, and the clean-abort
-# cancellation path (fails on goroutine leaks).
+# outputs), in-process incremental resume, the clean-abort cancellation
+# path (fails on goroutine leaks), and the recs blob reloading bit for bit
+# equal to inference's output.
 chaos-resume:
-	$(GO) test -race -short -run 'CrashResume|Journal|Checkpointer|OrphanTmp' ./internal/pipeline/ ./internal/dfs/
+	$(GO) test -race -short -run 'CrashResume|Journal|Checkpointer|OrphanTmp|LoadTenantRecs' ./internal/pipeline/ ./internal/dfs/
 
 # The overload-control chaos suite: token-bucket admission (determinism,
 # per-tenant fairness under a flood, zero-alloc fast path), power-of-two-
@@ -72,15 +76,16 @@ chaos-guard:
 chaos-sched:
 	$(GO) test -race -short -run 'Scheduler|QueueLog|ServiceSched|ServiceSetTier|Dispatch' ./internal/sched/ .
 
-# Storage-integrity chaos: the footer codec (round-trip, legacy, rot
-# detection on every read), deterministic BitFlip/Truncate placement, the
+# Storage-integrity chaos: the footer codec (round-trip, footerless blobs
+# read as corrupt, rot detection on every read), deterministic
+# BitFlip/Truncate placement, the
 # end-to-end bit-rot drill (zero corrupt responses escape; post-repair
 # fleet byte-identical to an uninjected control), scrub GC × carry-forward
 # retention, peer re-replication of deleted blobs, the poison-free
 # previous-generation fallback, and in-place appends that keep the footer
 # verified (bit flips, injected failures, concurrent readers).
 chaos-integrity:
-	$(GO) test -race -short -run 'Integrity|Scrub|Footer|BitFlip|Truncate|AtRest|WriteLegacy|CreateClose|ReviveHeals|PrepareWithout|CorruptionStreams|CorruptKind|Append' ./internal/dfs/ ./internal/faults/ ./internal/store/
+	$(GO) test -race -short -run 'Integrity|Scrub|Footer|BitFlip|Truncate|AtRest|CreateClose|ReviveHeals|CorruptionStreams|CorruptKind|Append' ./internal/dfs/ ./internal/faults/ ./internal/store/
 
 # Fuzz smoke: a few seconds per fuzz target (journal recovery, the dfs
 # integrity footer, segment decoding) so hostile-input regressions surface

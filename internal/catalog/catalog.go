@@ -57,15 +57,15 @@ type Catalog struct {
 
 	items  []Item
 	brands []string
-	// byCategory is built lazily by ItemsInSubtree callers via EnsureIndex.
+	// byCategory maps each category to the items attached directly to it.
+	// AddItem maintains it (it is the only place a category is set), so
+	// concurrent readers never build or mutate it.
 	byCategory map[taxonomy.NodeID][]ItemID
-	// catOrder caches items sorted by taxonomy preorder for subtree scans.
-	indexed bool
 }
 
 // New returns an empty catalog for the given retailer and taxonomy.
 func New(retailer RetailerID, tax *taxonomy.Taxonomy) *Catalog {
-	return &Catalog{Retailer: retailer, Tax: tax}
+	return &Catalog{Retailer: retailer, Tax: tax, byCategory: make(map[taxonomy.NodeID][]ItemID)}
 }
 
 // AddBrand registers a brand name and returns its id (ids start at 1).
@@ -99,7 +99,7 @@ func (c *Catalog) AddItem(it Item) ItemID {
 	id := ItemID(len(c.items))
 	it.ID = id
 	c.items = append(c.items, it)
-	c.indexed = false
+	c.byCategory[it.Category] = append(c.byCategory[it.Category], id)
 	return id
 }
 
@@ -124,24 +124,8 @@ func (c *Catalog) SetPrice(id ItemID, price int64) {
 	c.items[id].Price = price
 }
 
-// EnsureIndex builds the category -> items index used by subtree queries.
-// It is idempotent and called automatically by the query methods; it is
-// exported so pipelines can pay the cost at a predictable point.
-func (c *Catalog) EnsureIndex() {
-	if c.indexed {
-		return
-	}
-	c.byCategory = make(map[taxonomy.NodeID][]ItemID)
-	for i := range c.items {
-		cat := c.items[i].Category
-		c.byCategory[cat] = append(c.byCategory[cat], ItemID(i))
-	}
-	c.indexed = true
-}
-
 // ItemsInCategory returns the items attached directly to category n.
 func (c *Catalog) ItemsInCategory(n taxonomy.NodeID) []ItemID {
-	c.EnsureIndex()
 	return c.byCategory[n]
 }
 
@@ -151,7 +135,6 @@ func (c *Catalog) ItemsInCategory(n taxonomy.NodeID) []ItemID {
 // exactly ItemsInSubtree(Ancestor(cat(i), k)) — minus deeper-side
 // asymmetries that WithinLCA handles when precision matters.
 func (c *Catalog) ItemsInSubtree(n taxonomy.NodeID, dst []ItemID) []ItemID {
-	c.EnsureIndex()
 	// Walk the subtree; category counts are small compared to item counts.
 	stack := []taxonomy.NodeID{n}
 	for len(stack) > 0 {

@@ -142,7 +142,10 @@ func MaterializeStats(ctx context.Context, rec *hybrid.Recommender, cat *catalog
 }
 
 // EncodeItemRecs serializes one item's recommendations into the compact
-// binary form shuffled through the materialization job.
+// binary form shuffled through the materialization job. It is only that
+// job's shuffle codec: every on-disk copy of a tenant's recommendations
+// (store segments and the day journal's recs blob) is an SSG2 segment
+// (internal/segment).
 func EncodeItemRecs(ir ItemRecs) []byte {
 	buf := binary.AppendUvarint(nil, uint64(ir.Item))
 	for _, list := range [][]hybrid.Scored{ir.View, ir.Purchase, ir.LateFunnel} {

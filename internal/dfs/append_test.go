@@ -46,12 +46,9 @@ func TestAppendMatchesWholeWrite(t *testing.T) {
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("append %d: Read = %q, %v", k, got, err)
 		}
-		if n, err := fs.Size("j"); err != nil || n != int64(len(want)) {
-			t.Fatalf("append %d: Size = %d, %v; want %d", k, n, err, len(want))
-		}
 	}
-	if verified, legacy, corrupt := fs.IntegrityStats(); verified != 40 || legacy != 0 || corrupt != 0 {
-		t.Fatalf("IntegrityStats = %d/%d/%d, want 40 verified", verified, legacy, corrupt)
+	if verified, corrupt := fs.IntegrityStats(); verified != 40 || corrupt != 0 {
+		t.Fatalf("IntegrityStats = %d/%d, want 40 verified", verified, corrupt)
 	}
 	if w, _ := fs.Stats(); w != int64(len(want)) {
 		t.Fatalf("bytes written = %d, want %d (appends count only their own bytes)", w, len(want))
@@ -68,16 +65,14 @@ func TestAppendRequiresFooteredBlob(t *testing.T) {
 	if fs.Exists("missing") {
 		t.Fatal("append to a missing path created it")
 	}
-	if err := fs.WriteLegacy("legacy", []byte("no footer here, just bytes")); err != nil {
-		t.Fatal(err)
-	}
+	setImage(fs, "footerless", []byte("no footer here, just bytes"))
 	if err := fs.Write("echo", []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
 	bad := rawImage(fs, "echo")
 	bad[len(bad)-FooterLen+4] ^= 1 // length echo
 	setImage(fs, "echo", bad)
-	for _, path := range []string{"legacy", "echo"} {
+	for _, path := range []string{"footerless", "echo"} {
 		before := rawImage(fs, path)
 		if err := fs.Append(path, []byte("more")); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("append to %s: %v, want ErrCorrupt", path, err)
@@ -89,10 +84,8 @@ func TestAppendRequiresFooteredBlob(t *testing.T) {
 }
 
 // TestAppendedBlobDetectsEveryBitFlip: a single bit flip anywhere in an
-// appended image — payload, length echo or checksum — reads as
-// ErrCorrupt. A flip inside the footer magic demotes the blob to a
-// footerless one, as for any Write; it never reads back as the verified
-// original, and Append refuses to extend it.
+// appended image — payload, footer magic, length echo or checksum — reads
+// as ErrCorrupt, and Append refuses to extend the damaged blob.
 func TestAppendedBlobDetectsEveryBitFlip(t *testing.T) {
 	fs := New()
 	payload := []byte("first|")
@@ -111,18 +104,24 @@ func TestAppendedBlobDetectsEveryBitFlip(t *testing.T) {
 		flipped := bytes.Clone(image)
 		flipped[bit/8] ^= 1 << (bit % 8)
 		setImage(fs, "j", flipped)
-		got, err := fs.Read("j")
-		inMagic := bit/8 >= magicAt && bit/8 < magicAt+len(footerMagic)
-		switch {
-		case !inMagic && !errors.Is(err, ErrCorrupt):
+		if got, err := fs.Read("j"); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("bit %d: Read = %q, %v; want ErrCorrupt", bit, got, err)
-		case inMagic && err == nil && bytes.Equal(got, payload):
-			t.Fatalf("bit %d: magic flip read back as the verified original", bit)
-		case inMagic:
+		}
+		// Append checks only the footer's shape (magic and length echo),
+		// not the payload checksum, so only footer flips outside the
+		// stored checksum are refused by it.
+		if bit/8 >= magicAt && bit/8 < len(image)-4 {
 			if err := fs.Append("j", []byte("x")); !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("bit %d: append to a blob without magic: %v, want ErrCorrupt", bit, err)
+				t.Fatalf("bit %d: append to a blob with a damaged footer: %v, want ErrCorrupt", bit, err)
+			}
+			if !bytes.Equal(rawImage(fs, "j"), flipped) {
+				t.Fatalf("bit %d: refused append modified the blob", bit)
 			}
 		}
+	}
+	setImage(fs, "j", image)
+	if got, err := fs.Read("j"); err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("unflipped image: Read = %q, %v; want %q", got, err, payload)
 	}
 }
 
@@ -242,10 +241,6 @@ func TestConcurrentReadAndAppend(t *testing.T) {
 				got, err := fs.Read("j")
 				if err != nil || !bytes.HasPrefix(final, got) || len(got)%12 != 0 {
 					t.Errorf("concurrent read: %d bytes, %v", len(got), err)
-					return
-				}
-				if _, err := fs.Size("j"); err != nil {
-					t.Errorf("concurrent size: %v", err)
 					return
 				}
 			}

@@ -38,18 +38,17 @@ type FS struct {
 	mu    sync.RWMutex
 	files map[string][]byte
 
-	// inj is the user-installed fault injector; legacy backs the
+	// inj is the user-installed fault injector; nthWrite backs the
 	// FailEveryNthWrite convenience knob. Both are consulted.
-	inj    atomic.Pointer[faults.Injector]
-	legacy atomic.Pointer[faults.Injector]
+	inj      atomic.Pointer[faults.Injector]
+	nthWrite atomic.Pointer[faults.Injector]
 
 	bytesWritten int64
 	bytesRead    int64
 
-	// Integrity accounting: reads that verified a footer, reads of
-	// footerless legacy blobs, and reads rejected with ErrCorrupt.
+	// Integrity accounting: reads that verified a footer and reads
+	// rejected with ErrCorrupt.
 	verifiedReads int64
-	legacyReads   int64
 	corruptReads  int64
 }
 
@@ -74,10 +73,10 @@ func (f *FS) SetInjector(in *faults.Injector) {
 // wrapper over a faults.Rule and composes with SetInjector.
 func (f *FS) FailEveryNthWrite(n int) {
 	if n <= 0 {
-		f.legacy.Store(nil)
+		f.nthWrite.Store(nil)
 		return
 	}
-	f.legacy.Store(faults.NewInjector(uint64(n), faults.Rule{
+	f.nthWrite.Store(faults.NewInjector(uint64(n), faults.Rule{
 		Ops:      []faults.Op{faults.OpWrite, faults.OpRename},
 		EveryNth: n,
 	}))
@@ -85,7 +84,7 @@ func (f *FS) FailEveryNthWrite(n int) {
 
 // inject consults both injectors before an operation.
 func (f *FS) inject(op faults.Op, path string) error {
-	if err := f.legacy.Load().Before(op, path); err != nil {
+	if err := f.nthWrite.Load().Before(op, path); err != nil {
 		return err
 	}
 	return f.inj.Load().Before(op, path)
@@ -108,23 +107,6 @@ func (f *FS) Write(path string, data []byte) error {
 	return nil
 }
 
-// WriteLegacy stores data at path without an integrity footer — the
-// pre-footer on-disk shape. Tests use it to model old fixtures and blobs
-// written by earlier releases; everything else should use Write.
-func (f *FS) WriteLegacy(path string, data []byte) error {
-	if err := f.inject(faults.OpWrite, path); err != nil {
-		return fmt.Errorf("writing %s: %w", path, err)
-	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	cp = f.inj.Load().CorruptData(faults.OpWrite, path, cp)
-	f.mu.Lock()
-	f.files[path] = cp
-	f.mu.Unlock()
-	atomic.AddInt64(&f.bytesWritten, int64(len(data)))
-	return nil
-}
-
 // Append extends the footered blob at path with data, atomically. The
 // blob is extended in place and its footer rewritten: the new checksum is
 // the stored one extended over data, so the cost is O(len(data)), not
@@ -132,8 +114,8 @@ func (f *FS) WriteLegacy(path string, data []byte) error {
 // rules apply as for Write — an error rule fails the append with the
 // stored image untouched, and a corruption rule garbles the new image.
 // A missing path returns ErrNotExist; a blob without an intact footer
-// (footerless, or a length echo that disagrees with the blob) returns
-// ErrCorrupt and is left untouched.
+// (too short, a damaged magic, or a length echo that disagrees with the
+// blob) returns ErrCorrupt and is left untouched.
 func (f *FS) Append(path string, data []byte) error {
 	if err := f.inject(faults.OpWrite, path); err != nil {
 		return fmt.Errorf("appending %s: %w", path, err)
@@ -143,9 +125,6 @@ func (f *FS) Append(path string, data []byte) error {
 	image, ok := f.files[path]
 	if !ok {
 		return fmt.Errorf("appending %s: %w", path, ErrNotExist)
-	}
-	if !hasFooter(image) {
-		return fmt.Errorf("appending %s: no integrity footer: %w", path, ErrCorrupt)
 	}
 	n, sum, err := footerFields(image)
 	if err != nil {
@@ -160,9 +139,8 @@ func (f *FS) Append(path string, data []byte) error {
 
 // Read returns a copy of the file's payload at path, verifying and
 // stripping the integrity footer. A blob whose footer fails verification
-// returns an error wrapping ErrCorrupt; a footerless legacy blob is
-// returned as-is. The copy is taken under the lock because Append extends
-// blobs in place.
+// returns an error wrapping ErrCorrupt. The copy is taken under the lock
+// because Append extends blobs in place.
 func (f *FS) Read(path string) ([]byte, error) {
 	if err := f.inject(faults.OpRead, path); err != nil {
 		return nil, fmt.Errorf("reading %s: %w", path, err)
@@ -176,16 +154,12 @@ func (f *FS) Read(path string) ([]byte, error) {
 		return nil, fmt.Errorf("reading %s: %w", path, ErrNotExist)
 	}
 	cp = f.inj.Load().CorruptData(faults.OpRead, path, cp)
-	payload, verified, err := StripFooter(cp)
+	payload, err := StripFooter(cp)
 	if err != nil {
 		atomic.AddInt64(&f.corruptReads, 1)
 		return nil, fmt.Errorf("reading %s: %w", path, err)
 	}
-	if verified {
-		atomic.AddInt64(&f.verifiedReads, 1)
-	} else {
-		atomic.AddInt64(&f.legacyReads, 1)
-	}
+	atomic.AddInt64(&f.verifiedReads, 1)
 	atomic.AddInt64(&f.bytesRead, int64(len(payload)))
 	return payload, nil
 }
@@ -239,21 +213,6 @@ func (f *FS) Exists(path string) bool {
 	_, ok := f.files[path]
 	f.mu.RUnlock()
 	return ok
-}
-
-// Size returns the file's payload length in bytes (excluding the
-// integrity footer, so it matches what Read returns).
-func (f *FS) Size(path string) (int64, error) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	data, ok := f.files[path]
-	if !ok {
-		return 0, fmt.Errorf("stat %s: %w", path, ErrNotExist)
-	}
-	if payload, verified, err := StripFooter(data); err == nil && verified {
-		return int64(len(payload)), nil
-	}
-	return int64(len(data)), nil
 }
 
 // Delete removes the file at path; deleting a missing file is an error.
@@ -319,12 +278,9 @@ func (f *FS) Stats() (bytesWritten, bytesRead int64) {
 }
 
 // IntegrityStats reports cumulative read-verification outcomes: reads
-// whose footer verified, reads of footerless legacy blobs, and reads
-// rejected with ErrCorrupt.
-func (f *FS) IntegrityStats() (verified, legacy, corrupt int64) {
-	return atomic.LoadInt64(&f.verifiedReads),
-		atomic.LoadInt64(&f.legacyReads),
-		atomic.LoadInt64(&f.corruptReads)
+// whose footer verified and reads rejected with ErrCorrupt.
+func (f *FS) IntegrityStats() (verified, corrupt int64) {
+	return atomic.LoadInt64(&f.verifiedReads), atomic.LoadInt64(&f.corruptReads)
 }
 
 // NumFiles returns the number of stored files.

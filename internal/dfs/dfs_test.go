@@ -46,9 +46,6 @@ func TestReadMissing(t *testing.T) {
 	if _, err := fs.Open("nope"); !errors.Is(err, ErrNotExist) {
 		t.Fatalf("Open err = %v", err)
 	}
-	if _, err := fs.Size("nope"); !errors.Is(err, ErrNotExist) {
-		t.Fatalf("Size err = %v", err)
-	}
 	if err := fs.Delete("nope"); !errors.Is(err, ErrNotExist) {
 		t.Fatalf("Delete err = %v", err)
 	}
@@ -215,7 +212,7 @@ func TestInjectorBitFlipReadReturnsErrCorrupt(t *testing.T) {
 	if _, err := fs.Read("model"); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("corrupted read err = %v, want ErrCorrupt", err)
 	}
-	if _, _, corrupt := fs.IntegrityStats(); corrupt != 1 {
+	if _, corrupt := fs.IntegrityStats(); corrupt != 1 {
 		t.Fatalf("corrupt reads = %d, want 1", corrupt)
 	}
 	// Read-time corruption never touches the stored file: the rule is
@@ -227,18 +224,16 @@ func TestInjectorBitFlipReadReturnsErrCorrupt(t *testing.T) {
 }
 
 func TestInjectorCorruptKindStillGarbles(t *testing.T) {
-	// The legacy Corrupt kind XORs a stripe through the whole stored
-	// image. Whatever it hits — payload (checksum mismatch) or footer
-	// (blob demoted to legacy, returning garbled bytes) — the read must
-	// not return the pristine payload with a clean verification.
+	// The Corrupt kind XORs a stripe through the whole stored image.
+	// Whatever it hits — payload (checksum mismatch) or footer (damaged
+	// magic, length echo or checksum) — the read is typed corruption.
 	fs := New()
 	fs.Write("model", []byte("pristine model bytes"))
 	fs.SetInjector(faults.NewInjector(1, faults.Rule{
 		Ops: []faults.Op{faults.OpRead}, Kind: faults.Corrupt, EveryNth: 1,
 	}))
-	got, err := fs.Read("model")
-	if err == nil && string(got) == "pristine model bytes" {
-		t.Fatal("corrupt read returned pristine verified payload")
+	if got, err := fs.Read("model"); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("corrupt read = %q, %v; want ErrCorrupt", got, err)
 	}
 	fs.SetInjector(nil)
 	if clean, _ := fs.Read("model"); string(clean) != "pristine model bytes" {
@@ -252,77 +247,75 @@ func TestFooterRoundTrip(t *testing.T) {
 	if len(blob) != len(payload)+FooterLen {
 		t.Fatalf("footered length = %d", len(blob))
 	}
-	got, verified, err := StripFooter(blob)
-	if err != nil || !verified || string(got) != string(payload) {
-		t.Fatalf("StripFooter = %q, %v, %v", got, verified, err)
+	got, err := StripFooter(blob)
+	if err != nil || string(got) != string(payload) {
+		t.Fatalf("StripFooter = %q, %v", got, err)
 	}
 	// Empty payloads carry a footer too.
-	got, verified, err = StripFooter(AppendFooter(nil))
-	if err != nil || !verified || len(got) != 0 {
-		t.Fatalf("empty payload: %q, %v, %v", got, verified, err)
+	got, err = StripFooter(AppendFooter(nil))
+	if err != nil || len(got) != 0 {
+		t.Fatalf("empty payload: %q, %v", got, err)
 	}
 }
 
 func TestFooterLegacyAndCorruptCases(t *testing.T) {
-	// Short or footer-less blobs pass through unverified (legacy escape
-	// hatch for fixtures written before the footer existed).
+	// Short or footer-less blobs (the pre-footer "legacy" shape) are
+	// corrupt: every stored blob has a footer, so one without is damage.
 	for _, blob := range [][]byte{nil, []byte("short"), []byte("long enough but no footer magic")} {
-		got, verified, err := StripFooter(blob)
-		if err != nil || verified || string(got) != string(blob) {
-			t.Fatalf("legacy blob %q: %q, %v, %v", blob, got, verified, err)
+		if got, err := StripFooter(blob); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("footerless blob %q: %q, %v; want ErrCorrupt", blob, got, err)
 		}
 	}
 	// A flipped payload bit under an intact footer is typed corruption.
 	blob := AppendFooter([]byte("some payload"))
 	blob[3] ^= 0x10
-	if _, _, err := StripFooter(blob); !errors.Is(err, ErrCorrupt) {
+	if _, err := StripFooter(blob); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("flipped payload err = %v, want ErrCorrupt", err)
 	}
 	// Bytes missing from the middle while the footer survives: the length
 	// echo catches it before the checksum runs.
 	blob = AppendFooter([]byte("some payload"))
 	blob = append(blob[:4], blob[8:]...)
-	if _, _, err := StripFooter(blob); !errors.Is(err, ErrCorrupt) {
+	if _, err := StripFooter(blob); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("shrunken payload err = %v, want ErrCorrupt", err)
 	}
 }
 
-func TestWriteLegacySkipsFooter(t *testing.T) {
+// TestFooterlessBlobReadsCorrupt: a stored image without a footer — too
+// short for one, or long enough but with no footer magic — is never
+// returned unverified; Read counts it as corrupt.
+func TestFooterlessBlobReadsCorrupt(t *testing.T) {
 	fs := New()
 	fs.Write("footered", []byte("abc"))
-	fs.WriteLegacy("legacy", []byte("abcdefghijklmnopqrstuvwxyz"))
-	if got, err := fs.Read("legacy"); err != nil || string(got) != "abcdefghijklmnopqrstuvwxyz" {
-		t.Fatalf("legacy read = %q, %v", got, err)
+	setImage(fs, "short", []byte("abc"))
+	setImage(fs, "footerless", []byte("abcdefghijklmnopqrstuvwxyz"))
+	for _, path := range []string{"short", "footerless"} {
+		if got, err := fs.Read(path); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s read = %q, %v; want ErrCorrupt", path, got, err)
+		}
 	}
-	fs.Read("footered")
-	verified, legacy, corrupt := fs.IntegrityStats()
-	if verified != 1 || legacy != 1 || corrupt != 0 {
-		t.Fatalf("IntegrityStats = %d, %d, %d", verified, legacy, corrupt)
+	if got, err := fs.Read("footered"); err != nil || string(got) != "abc" {
+		t.Fatalf("footered read = %q, %v", got, err)
 	}
-	// Size reports payload bytes for footered files and raw bytes for
-	// legacy ones.
-	if n, _ := fs.Size("footered"); n != 3 {
-		t.Fatalf("footered Size = %d", n)
-	}
-	if n, _ := fs.Size("legacy"); n != 26 {
-		t.Fatalf("legacy Size = %d", n)
+	if verified, corrupt := fs.IntegrityStats(); verified != 1 || corrupt != 2 {
+		t.Fatalf("IntegrityStats = %d, %d; want 1 verified, 2 corrupt", verified, corrupt)
 	}
 }
 
 func TestAtRestCorruptionDetectedOnEveryRead(t *testing.T) {
 	// Simulated at-rest rot: store a footered image with one flipped bit
-	// via the legacy (raw) writer. Every read must fail the same way —
-	// detection is deterministic, not probabilistic.
+	// verbatim. Every read must fail the same way — detection is
+	// deterministic, not probabilistic.
 	fs := New()
 	image := AppendFooter([]byte("segment bytes here"))
 	image[5] ^= 0x04
-	fs.WriteLegacy("rotted", image)
+	setImage(fs, "rotted", image)
 	for i := 0; i < 3; i++ {
 		if _, err := fs.Read("rotted"); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("read %d: err = %v, want ErrCorrupt", i, err)
 		}
 	}
-	if _, _, corrupt := fs.IntegrityStats(); corrupt != 3 {
+	if _, corrupt := fs.IntegrityStats(); corrupt != 3 {
 		t.Fatalf("corrupt reads = %d, want 3", corrupt)
 	}
 }

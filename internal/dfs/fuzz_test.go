@@ -25,12 +25,11 @@ func journalFile(payloads ...[]byte) []byte {
 }
 
 // FuzzIntegrityFooter feeds arbitrary bytes to StripFooter. Whatever the
-// bytes, stripping must never panic, and the three outcomes must be
-// mutually consistent: a verified strip round-trips through AppendFooter
-// byte-identically, a legacy result returns the input unchanged, and an
-// error is always the typed ErrCorrupt. Flipping any single bit of a
-// valid footered blob must never yield a verified strip of the original
-// payload.
+// bytes, stripping must never panic and has exactly two outcomes: the
+// footer verifies and the payload round-trips through AppendFooter
+// byte-identically, or the error is the typed ErrCorrupt. A single bit
+// flip of a valid footered blob, payload or footer alike, is always
+// ErrCorrupt.
 func FuzzIntegrityFooter(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("short"))
@@ -43,31 +42,24 @@ func FuzzIntegrityFooter(f *testing.F) {
 	f.Add(append(bytes.Repeat([]byte{0xaa}, 8), []byte("SFT1\xff\xff\xff\xff\xff\xff\xff\xff\x00\x00\x00\x00")...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		payload, verified, err := StripFooter(data)
-		switch {
-		case err != nil:
+		payload, err := StripFooter(data)
+		if err != nil {
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("error not ErrCorrupt: %v", err)
 			}
-		case verified:
-			if !bytes.Equal(AppendFooter(payload), data) {
-				t.Fatal("verified strip does not round-trip through AppendFooter")
-			}
-		default:
-			if !bytes.Equal(payload, data) {
-				t.Fatal("legacy strip modified the blob")
-			}
+		} else if !bytes.Equal(AppendFooter(payload), data) {
+			t.Fatal("verified strip does not round-trip through AppendFooter")
 		}
-		// Single-bit rot of a freshly footered image must always be caught
-		// (the footer is long enough that a flip inside it demotes the blob
-		// to legacy — but never to a *verified* wrong payload).
+		// Single-bit rot of a freshly footered image must always be
+		// caught: in the payload, the footer magic, the length echo or
+		// the checksum.
 		blob := AppendFooter(data)
-		for _, bit := range []int{0, len(blob)*8 - 1, (len(blob) * 8) / 2} {
+		magicBit := (len(blob) - FooterLen) * 8
+		for _, bit := range []int{0, len(blob)*8 - 1, (len(blob) * 8) / 2, magicBit, magicBit + 8*len(footerMagic)} {
 			flipped := bytes.Clone(blob)
 			flipped[bit/8] ^= 1 << (bit % 8)
-			p, v, _ := StripFooter(flipped)
-			if v && bytes.Equal(p, data) {
-				t.Fatalf("bit %d flip went undetected as verified original", bit)
+			if _, err := StripFooter(flipped); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("bit %d flip: err = %v, want ErrCorrupt", bit, err)
 			}
 		}
 	})

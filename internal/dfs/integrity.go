@@ -14,19 +14,20 @@ import (
 //	payload | magic "SFT1" (4B) | payload length u64 LE (8B) | CRC32-C of payload u32 LE (4B)
 //
 // Write appends it; Read/Open verify and strip it, so callers round-trip
-// payloads unchanged and never see footer bytes. Blobs without the magic
-// are "legacy" (pre-footer fixtures, hand-written test files) and are
-// returned as-is — the escape hatch that keeps old fixtures and
-// carry-forward manifests loadable.
+// payloads unchanged and never see footer bytes. Every stored blob has a
+// footer, so a read has exactly two outcomes: the footer verifies and the
+// payload is returned, or the read fails with ErrCorrupt. A blob too short
+// to hold a footer, or whose footer magic is damaged, is corrupt like any
+// other.
 //
-// The footer detects bit flips in the payload (CRC mismatch) and in the
-// length echo. Two corruption shapes can destroy the footer itself —
-// truncation that cuts into it, and a flip inside the magic — making the
-// blob look legacy. Those are caught by the second layer: every structured
-// reader (segment.Parse's exact-length check, the manifest/model/recs
-// decoders, the journal's per-record CRCs) rejects the now-misshapen
-// bytes, and the store classifies any decode failure of a referenced blob
-// as the same integrity event as ErrCorrupt.
+// The footer detects bit flips anywhere in the blob: in the payload (CRC
+// mismatch), in the length echo, in the magic, and in the stored CRC
+// itself. Truncation moves the footer window onto other bytes, which then
+// fail the magic, length-echo or checksum check. The store keeps a second
+// layer regardless: every structured reader (segment.Parse's exact-length
+// check, the manifest/model decoders, the journal's per-record CRCs)
+// rejects misshapen bytes, and the store classifies any decode failure of
+// a referenced blob as the same integrity event as ErrCorrupt.
 
 // FooterLen is the size of the integrity footer appended to every stored
 // blob.
@@ -40,8 +41,8 @@ var footerMagic = []byte("SFT1")
 // per-record IEEE CRCs.
 var footerTable = crc32.MakeTable(crc32.Castagnoli)
 
-// ErrCorrupt is returned when a blob's integrity footer is present but
-// does not verify — the stored bytes are not the bytes that were written.
+// ErrCorrupt is returned when a blob's integrity footer does not verify —
+// the stored bytes are not the bytes that were written.
 // It is distinct from ErrNotExist: the file is there, but it is poison.
 var ErrCorrupt = errors.New("dfs: blob failed integrity verification")
 
@@ -63,17 +64,18 @@ func appendFooterFields(out []byte, n int, sum uint32) []byte {
 	return binary.LittleEndian.AppendUint32(out, sum)
 }
 
-// hasFooter reports whether blob ends in an integrity footer's magic.
-func hasFooter(blob []byte) bool {
-	return len(blob) >= FooterLen &&
-		string(blob[len(blob)-FooterLen:len(blob)-FooterLen+len(footerMagic)]) == string(footerMagic)
-}
-
-// footerFields returns the payload length and stored checksum of a blob
-// that hasFooter, or an ErrCorrupt error when the length echo disagrees
-// with the blob.
+// footerFields returns the payload length and stored checksum of a
+// footered blob, or an error wrapping ErrCorrupt when the blob is too
+// short to hold a footer, its magic is wrong, or its length echo
+// disagrees with the blob.
 func footerFields(blob []byte) (n int, sum uint32, err error) {
+	if len(blob) < FooterLen {
+		return 0, 0, fmt.Errorf("%d-byte blob cannot hold a %d-byte footer: %w", len(blob), FooterLen, ErrCorrupt)
+	}
 	f := blob[len(blob)-FooterLen:]
+	if string(f[:len(footerMagic)]) != string(footerMagic) {
+		return 0, 0, fmt.Errorf("footer magic %q != %q: %w", f[:len(footerMagic)], footerMagic, ErrCorrupt)
+	}
 	n = len(blob) - FooterLen
 	if echo := binary.LittleEndian.Uint64(f[4:12]); echo != uint64(n) {
 		return 0, 0, fmt.Errorf("footer length echo %d != payload length %d: %w", echo, n, ErrCorrupt)
@@ -82,23 +84,17 @@ func footerFields(blob []byte) (n int, sum uint32, err error) {
 }
 
 // StripFooter verifies blob's integrity footer and returns the payload
-// with the footer removed. verified reports whether a footer was present
-// and checked: (payload, true, nil) for a good footer, (blob, false, nil)
-// for a legacy blob with no footer, and (nil, false, err wrapping
-// ErrCorrupt) when the footer is present but the length echo or checksum
-// disagrees with the payload.
-func StripFooter(blob []byte) (payload []byte, verified bool, err error) {
-	if !hasFooter(blob) {
-		return blob, false, nil
-	}
+// with the footer removed, or an error wrapping ErrCorrupt when the blob
+// has no intact footer or its checksum disagrees with the payload.
+func StripFooter(blob []byte) ([]byte, error) {
 	n, want, err := footerFields(blob)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	payload = blob[:n]
+	payload := blob[:n]
 	if got := crc32.Checksum(payload, footerTable); got != want {
-		return nil, false, fmt.Errorf("payload checksum %08x != footer %08x: %w",
+		return nil, fmt.Errorf("payload checksum %08x != footer %08x: %w",
 			got, want, ErrCorrupt)
 	}
-	return payload, true, nil
+	return payload, nil
 }

@@ -17,6 +17,7 @@ import (
 	"sigmund/internal/interactions"
 	"sigmund/internal/mapreduce"
 	"sigmund/internal/obs"
+	"sigmund/internal/segment"
 	"sigmund/internal/serving"
 )
 
@@ -145,7 +146,7 @@ func (p *Pipeline) runInference(
 						// record is withheld: a resume just re-materializes
 						// this tenant. A failed record append is fleet-level
 						// — the work itself succeeded.
-						if werr := p.writeWithRetry(ctx, recsPath(day, j.id), encodeRecsBlob(recs, sellers)); werr == nil {
+						if werr := p.writeWithRetry(ctx, recsPath(day, j.id), segment.Encode(recs, sellers)); werr == nil {
 							if aerr := dj.append(ctx, journalRecord{Type: recInferred, Retailer: j.id, Counters: &c, ItemsServed: len(recs)}); aerr != nil {
 								mu.Lock()
 								if fleetErr == nil {

@@ -3,7 +3,6 @@ package pipeline
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -20,6 +19,7 @@ import (
 	"sigmund/internal/mapreduce"
 	"sigmund/internal/obs"
 	"sigmund/internal/retry"
+	"sigmund/internal/segment"
 	"sigmund/internal/serving"
 )
 
@@ -339,77 +339,22 @@ func (p *Pipeline) loadCellRecords(day, cell int) ([]modelselect.ConfigRecord, e
 	return out, nil
 }
 
-const recsBlobMagic = "SREC"
-
-// encodeRecsBlob persists one tenant's materialized recommendations:
-// uvarint-length-framed EncodeItemRecs entries (the per-item codec does
-// not self-delimit) followed by the popularity fallback list. The framing
-// lets a resumed day reload exactly what inference produced, bit for bit.
-func encodeRecsBlob(items []inference.ItemRecs, sellers []catalog.ItemID) []byte {
-	buf := []byte(recsBlobMagic)
-	buf = binary.AppendUvarint(buf, uint64(len(items)))
-	for _, ir := range items {
-		enc := inference.EncodeItemRecs(ir)
-		buf = binary.AppendUvarint(buf, uint64(len(enc)))
-		buf = append(buf, enc...)
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(sellers)))
-	for _, id := range sellers {
-		buf = binary.AppendUvarint(buf, uint64(id))
-	}
-	return buf
-}
-
-// decodeRecsBlob reverses encodeRecsBlob. Zero-length sections decode to
-// nil so a replayed tenant compares deep-equal with a fresh run.
-func decodeRecsBlob(data []byte) ([]inference.ItemRecs, []catalog.ItemID, error) {
-	if len(data) < len(recsBlobMagic) || string(data[:len(recsBlobMagic)]) != recsBlobMagic {
-		return nil, nil, errors.New("pipeline: bad recs blob magic")
-	}
-	data = data[len(recsBlobMagic):]
-	nItems, n := binary.Uvarint(data)
-	if n <= 0 {
-		return nil, nil, errors.New("pipeline: truncated recs blob")
-	}
-	data = data[n:]
-	var items []inference.ItemRecs
-	for i := uint64(0); i < nItems; i++ {
-		size, n := binary.Uvarint(data)
-		if n <= 0 || uint64(len(data)-n) < size {
-			return nil, nil, fmt.Errorf("pipeline: truncated recs blob at item %d", i)
-		}
-		data = data[n:]
-		ir, err := inference.DecodeItemRecs(data[:size])
-		if err != nil {
-			return nil, nil, err
-		}
-		items = append(items, ir)
-		data = data[size:]
-	}
-	nSellers, n := binary.Uvarint(data)
-	if n <= 0 {
-		return nil, nil, errors.New("pipeline: truncated recs blob sellers")
-	}
-	data = data[n:]
-	var sellers []catalog.ItemID
-	for i := uint64(0); i < nSellers; i++ {
-		id, n := binary.Uvarint(data)
-		if n <= 0 {
-			return nil, nil, fmt.Errorf("pipeline: truncated recs blob seller %d", i)
-		}
-		sellers = append(sellers, catalog.ItemID(id))
-		data = data[n:]
-	}
-	return items, sellers, nil
-}
-
-// loadRecsBlob reloads a replayed tenant's committed recommendations.
+// loadRecsBlob reloads a replayed tenant's committed recommendations. The
+// blob is the tenant's SSG2 segment (segment.Encode of inference's
+// output, which already lists items in ascending id order without
+// duplicates), so materializing it returns exactly what inference
+// produced, bit for bit.
 func (p *Pipeline) loadRecsBlob(day int, r catalog.RetailerID) ([]inference.ItemRecs, []catalog.ItemID, error) {
 	raw, err := p.fs.Read(recsPath(day, r))
 	if err != nil {
 		return nil, nil, err
 	}
-	return decodeRecsBlob(raw)
+	f, err := segment.Parse(raw)
+	if err != nil {
+		return nil, nil, fmt.Errorf("pipeline: recs blob for %s: %w", r, err)
+	}
+	items, sellers := f.Materialize()
+	return items, sellers, nil
 }
 
 // resumeInfo converts the journal's bookkeeping into the serving layer's

@@ -15,6 +15,7 @@ import (
 	"sigmund/internal/interactions"
 	"sigmund/internal/mapreduce"
 	"sigmund/internal/obs"
+	"sigmund/internal/segment"
 	"sigmund/internal/serving"
 )
 
@@ -219,7 +220,7 @@ func (p *Pipeline) InferTenant(ctx context.Context, cycle int, r catalog.Retaile
 	if err != nil {
 		return res, fmt.Errorf("inference for %s: %w", r, err)
 	}
-	if err := p.writeWithRetry(ctx, recsPath(cycle, r), encodeRecsBlob(items, sellers)); err != nil {
+	if err := p.writeWithRetry(ctx, recsPath(cycle, r), segment.Encode(items, sellers)); err != nil {
 		return res, fmt.Errorf("persisting recs for %s: %w", r, err)
 	}
 	res.Items, res.Sellers = items, sellers

@@ -1,8 +1,9 @@
 // Package segment implements the flat, offset-indexed on-disk segment
-// format (v2) the serving fleet reads directly from the loaded byte slice.
-//
-// The v1 format decoded every segment into per-tenant heap maps at bulk
-// load and re-materialized rec lists per query; v2 removes both costs. A
+// format ("SSG2") the serving fleet reads directly from the loaded byte
+// slice. It is the only on-disk encoding of a tenant's recommendations:
+// the store's per-generation segments and the day journal's replay blob
+// are both SSG2. Replicas serve straight from the bytes, with no
+// per-tenant map reconstruction at bulk load and no per-query decode. A
 // segment is one immutable blob per retailer per generation:
 //
 //	header   magic "SSG2" | itemCount u32 | topCount u32 | entriesLen u32
@@ -32,14 +33,13 @@ import (
 	"sigmund/internal/core/inference"
 )
 
-// Magic identifies a v2 flat segment.
+// Magic identifies an SSG2 flat segment.
 const Magic = "SSG2"
 
 // ErrMalformed is wrapped by every Parse rejection. It lets callers
-// classify a structural decode failure — a blob whose integrity footer
-// was itself destroyed (truncation, a flip inside the footer magic) still
-// fails here, so errors.Is(err, ErrMalformed) marks the second layer of
-// corruption detection.
+// classify a structural decode failure: errors.Is(err, ErrMalformed)
+// marks the second layer of corruption detection, behind the dfs
+// integrity footer.
 var ErrMalformed = errors.New("segment: malformed")
 
 const (
@@ -49,12 +49,12 @@ const (
 	blockHeader = 12 // three u32 list counts
 )
 
-// IsFlat reports whether data starts with the v2 magic.
-func IsFlat(data []byte) bool {
+// isFlat reports whether data starts with the SSG2 magic.
+func isFlat(data []byte) bool {
 	return len(data) >= len(Magic) && string(data[:len(Magic)]) == Magic
 }
 
-// Flat is a validated zero-copy view over a v2 segment. The byte slice is
+// Flat is a validated zero-copy view over an SSG2 segment. The byte slice is
 // retained and must stay immutable for the Flat's lifetime (segments are
 // immutable by contract).
 type Flat struct {
@@ -66,7 +66,7 @@ type Flat struct {
 }
 
 // Encode serializes item rec lists plus the top-sellers fallback into the
-// canonical v2 form: items sorted by id, duplicates dropped (first wins),
+// canonical SSG2 form: items sorted by id, duplicates dropped (first wins),
 // blocks packed in index order. Encoding the same logical content always
 // yields identical bytes.
 func Encode(items []inference.ItemRecs, top []catalog.ItemID) []byte {
@@ -113,13 +113,13 @@ func Encode(items []inference.ItemRecs, top []catalog.ItemID) []byte {
 	return buf
 }
 
-// Parse validates a v2 segment and returns its zero-copy view. Every
+// Parse validates an SSG2 segment and returns its zero-copy view. Every
 // structural invariant is checked here — section lengths must account for
 // the input exactly, index ids must be strictly increasing, and every
 // block (header plus all three lists) must lie inside the entries section
 // — so lookups can trust the layout without per-request validation.
 func Parse(data []byte) (*Flat, error) {
-	if len(data) < headerSize || !IsFlat(data) {
+	if len(data) < headerSize || !isFlat(data) {
 		return nil, fmt.Errorf("%w: not a flat segment (%d bytes)", ErrMalformed, len(data))
 	}
 	count := binary.LittleEndian.Uint32(data[4:8])
@@ -228,10 +228,15 @@ func (f *Flat) TopSellers() []catalog.ItemID {
 	return out
 }
 
-// Materialize decodes the whole segment back into heap form — the shape
-// v1 loads produced. Only tests, stats, and compatibility paths use it;
+// Materialize decodes the whole segment back into heap form: exactly the
+// items and top sellers segment.Encode was given, when those were in
+// canonical order (ascending ids, no duplicates), with nil for every
+// empty list. The pipeline reloads a committed recs blob through it;
 // serving never does.
 func (f *Flat) Materialize() ([]inference.ItemRecs, []catalog.ItemID) {
+	if f.count == 0 {
+		return nil, f.TopSellers()
+	}
 	items := make([]inference.ItemRecs, 0, f.count)
 	for i := 0; i < f.count; i++ {
 		ls, _ := f.Lookup(f.ItemAt(i))
@@ -276,8 +281,7 @@ func (l List) Source(i int) hybrid.Source {
 	return hybrid.Source(l.data[i*entryStride+12])
 }
 
-// Materialize decodes the list into heap form (nil when empty, matching
-// the v1 decoder's convention).
+// Materialize decodes the list into heap form (nil when empty).
 func (l List) Materialize() []hybrid.Scored {
 	n := l.Len()
 	if n == 0 {

@@ -168,4 +168,7 @@ func TestParseEmptySegment(t *testing.T) {
 	if _, ok := f.Lookup(0); ok {
 		t.Fatal("Lookup hit on an empty segment")
 	}
+	if items, top := f.Materialize(); items != nil || top != nil {
+		t.Fatalf("empty segment materialized to %#v, %#v; want nil, nil", items, top)
+	}
 }

@@ -23,11 +23,13 @@ import (
 // RetailerRecs is one retailer's materialized recommendation data, in one
 // of two representations:
 //
-//   - map-backed: Recs/TopSellers hold decoded heap values. The pipeline
-//     builds snapshots this way, and v1 segments decode into it.
-//   - flat-backed: Flat is a zero-copy view over a v2 segment's bytes;
-//     Recs is nil and lookups read the mmap-shaped slice directly. Store
-//     replicas serve this form — no per-tenant map is ever rebuilt.
+//   - map-backed: Recs/TopSellers hold heap values. The pipeline builds
+//     snapshots this way from inference's output; nothing on disk
+//     decodes into it.
+//   - flat-backed: Flat is a zero-copy view over an SSG2 segment's bytes
+//     (the only on-disk encoding); Recs is nil and lookups read the
+//     mmap-shaped slice directly. Store replicas serve this form — no
+//     per-tenant map is ever rebuilt.
 //
 // Exactly one representation is populated. The blend path handles both;
 // everything else goes through NumItems and the top-seller accessors.
@@ -37,7 +39,7 @@ type RetailerRecs struct {
 	// TopSellers is the popularity-ordered fallback for empty/unknown
 	// contexts (new users with no history at all; map-backed form).
 	TopSellers []catalog.ItemID
-	// Flat is the zero-copy v2 segment view (flat-backed form).
+	// Flat is the zero-copy SSG2 segment view (flat-backed form).
 	Flat *segment.Flat
 }
 
@@ -566,12 +568,27 @@ func ctxContains(ctx interactions.Context, it catalog.ItemID) bool {
 // served from their carried-forward snapshot transparently (counted in
 // StaleServes).
 func (s *Server) RecommendWithSource(r catalog.RetailerID, ctx interactions.Context, k int) ([]Recommendation, Source) {
+	return s.recommend(s.snap.Load(), r, ctx, k)
+}
+
+// RecommendVersioned is RecommendWithSource plus the version of the
+// snapshot that answered. The snapshot is loaded once, so the version
+// labels exactly the content returned even when a Publish lands
+// mid-request (a separate Version call afterwards could report the newer
+// generation for the older content).
+func (s *Server) RecommendVersioned(r catalog.RetailerID, ctx interactions.Context, k int) ([]Recommendation, Source, int64) {
+	snap := s.snap.Load()
+	recs, src := s.recommend(snap, r, ctx, k)
+	return recs, src, snap.Version
+}
+
+// recommend answers one request from snap.
+func (s *Server) recommend(snap *Snapshot, r catalog.RetailerID, ctx interactions.Context, k int) ([]Recommendation, Source) {
 	s.requests.Add(1)
 	s.om.requests.Inc()
 	if k <= 0 {
 		k = 10
 	}
-	snap := s.snap.Load()
 	rr := snap.Retailers[r]
 	if rr == nil {
 		s.misses.Add(1)

@@ -5,19 +5,17 @@ import (
 	"time"
 
 	"sigmund/internal/catalog"
-	"sigmund/internal/core/inference"
 	"sigmund/internal/dfs"
 	"sigmund/internal/faults"
 	"sigmund/internal/serving"
 )
 
-// TestMixedFormatGenerations proves a committed generation can serve v1
-// (legacy length-prefixed) and v2 (flat) segments side by side: a tenant
-// whose last good segment predates the flat format is carried forward by
-// the manifest and decoded map-backed, while freshly published tenants
-// load as zero-copy flat views — and both answer identically through the
+// TestFlatCarryForwardThroughHedgesAndCache proves a committed generation
+// serves a carried-forward segment beside a fresh one: a degraded tenant's
+// manifest entry points at its previous generation's segment, and both
+// tenants load as zero-copy flat views and answer identically through the
 // full router path, hedged reads and hot-key cache included.
-func TestMixedFormatGenerations(t *testing.T) {
+func TestFlatCarryForwardThroughHedgesAndCache(t *testing.T) {
 	// Stall replica 0 so every read exercises the hedge machinery instead
 	// of the single-replica fast path.
 	inj := faults.NewInjector(1, faults.Rule{
@@ -28,34 +26,14 @@ func TestMixedFormatGenerations(t *testing.T) {
 	st := New(fs, Options{Shards: 1, Replicas: 2, CacheSize: 8, Faults: inj, HedgeAfter: time.Millisecond})
 	defer st.Close()
 
-	// Generation 1: both tenants publish fresh (v2 on disk).
+	// Generation 1: both tenants publish fresh.
 	st.Publish(testSnapshot(1, "shop-old", "shop-new"))
 	if err := st.PublishErr(); err != nil {
 		t.Fatalf("publish gen 1: %v", err)
 	}
 
-	// Rewrite shop-old's gen-1 segment in the legacy format, as if it had
-	// been written by a pre-upgrade publisher and survived on the shared
-	// filesystem.
-	data, err := fs.Read(segmentPath(1, "shop-old"))
-	if err != nil {
-		t.Fatalf("read gen-1 segment: %v", err)
-	}
-	rr, err := DecodeSegment(data)
-	if err != nil {
-		t.Fatalf("decode gen-1 segment: %v", err)
-	}
-	items, top := rr.Flat.Materialize()
-	mapRR := &serving.RetailerRecs{Recs: make(map[catalog.ItemID]inference.ItemRecs, len(items)), TopSellers: top}
-	for _, ir := range items {
-		mapRR.Recs[ir.Item] = ir
-	}
-	if err := fs.Write(segmentPath(1, "shop-old"), EncodeSegmentV1(mapRR)); err != nil {
-		t.Fatalf("rewrite as v1: %v", err)
-	}
-
 	// Generation 2: shop-new refreshes, shop-old is degraded with no fresh
-	// data — its manifest entry carries the (now v1) gen-1 segment forward.
+	// data — its manifest entry carries the gen-1 segment forward.
 	snap := testSnapshot(2, "shop-new")
 	snap.MarkDegraded("shop-old", "inference", false)
 	st.Publish(snap)
@@ -66,8 +44,9 @@ func TestMixedFormatGenerations(t *testing.T) {
 		t.Fatalf("Version = %d, want 2", got)
 	}
 
-	// Every replica's committed snapshot must hold both representations:
-	// the carried-forward tenant map-backed, the fresh tenant flat-backed.
+	// Every replica's committed snapshot must hold both tenants flat-backed:
+	// the carried-forward one from its gen-1 segment, the fresh one from
+	// gen 2.
 	st.shards[0].mu.RLock()
 	reps := append([]*Replica(nil), st.shards[0].replicas...)
 	st.shards[0].mu.RUnlock()
@@ -78,13 +57,13 @@ func TestMixedFormatGenerations(t *testing.T) {
 		if snap == nil || snap.Version != 2 {
 			t.Fatalf("replica %d: committed snapshot %+v, want generation 2", rep.idx, snap)
 		}
-		old := snap.Retailers["shop-old"]
-		if old == nil || old.Recs == nil || old.Flat != nil {
-			t.Fatalf("replica %d: shop-old should be map-backed (v1 carry-forward), got %+v", rep.idx, old)
+		if st := snap.Status["shop-old"]; st == nil || !st.Degraded || st.RecsVersion != 1 {
+			t.Fatalf("replica %d: shop-old status %+v, want degraded at recs version 1", rep.idx, st)
 		}
-		fresh := snap.Retailers["shop-new"]
-		if fresh == nil || fresh.Flat == nil || fresh.Recs != nil {
-			t.Fatalf("replica %d: shop-new should be flat-backed (v2), got %+v", rep.idx, fresh)
+		for _, shop := range []catalog.RetailerID{"shop-old", "shop-new"} {
+			if rr := snap.Retailers[shop]; rr == nil || rr.Flat == nil || rr.Recs != nil {
+				t.Fatalf("replica %d: %s should be flat-backed, got %+v", rep.idx, shop, rr)
+			}
 		}
 	}
 

@@ -14,14 +14,21 @@ import (
 	"sigmund/internal/serving"
 )
 
+// v1Segment is a well-formed segment in the retired "SSEG" (v1) format —
+// item 1 viewed with item 0 at score 1.0, top sellers [0 1] — that no
+// decoder accepts any more.
+var v1Segment = []byte("SSEG\x01\x00\x00\x00\x0f\x00\x00\x00\x01\x01\x00\x80\x80\x80\x80\x80\x80\x80\xf8?\x00\x00\x00\x02\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00")
+
 // FuzzSegmentDecode feeds arbitrary bytes to DecodeSegment. Decoding must
 // never panic or over-allocate on hostile length prefixes; anything that
 // decodes must re-encode canonically (encode → decode → encode is a
 // fixed point, byte for byte — scores compare as raw float bits, so NaN
-// payloads can't produce false mismatches).
+// payloads can't produce false mismatches). Bytes in the retired "SSEG"
+// (v1) segment format must be refused.
 func FuzzSegmentDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("SSEG"))
+	f.Add(v1Segment)
 	f.Add([]byte("XXXX definitely not a segment"))
 	f.Add(EncodeSegment(&serving.RetailerRecs{Recs: map[catalog.ItemID]inference.ItemRecs{}}))
 	f.Add(EncodeSegment(&serving.RetailerRecs{
@@ -31,7 +38,7 @@ func FuzzSegmentDecode(f *testing.F) {
 		},
 		TopSellers: []catalog.ItemID{1, 2, 0},
 	}))
-	// A count field claiming far more items than the bytes can hold.
+	// A v1 count field claiming far more items than the bytes can hold.
 	f.Add(append([]byte("SSEG"), 0xff, 0xff, 0xff, 0x7f))
 	// Footer variants: a segment with the dfs integrity footer still
 	// attached (a raw stored image that bypassed Read's strip), a footered
@@ -53,8 +60,11 @@ func FuzzSegmentDecode(f *testing.F) {
 		if err != nil {
 			return // rejected input; the only requirement is no panic
 		}
-		if rr == nil || (rr.Recs == nil && rr.Flat == nil) {
-			t.Fatal("successful decode returned a nil payload")
+		if bytes.HasPrefix(data, []byte("SSEG")) {
+			t.Fatal("decoded a v1 segment")
+		}
+		if rr == nil || rr.Flat == nil {
+			t.Fatal("successful decode returned no flat segment")
 		}
 		enc := EncodeSegment(rr)
 		rr2, err := DecodeSegment(enc)
@@ -67,12 +77,12 @@ func FuzzSegmentDecode(f *testing.F) {
 	})
 }
 
-// FuzzSegmentLookup hammers the v2 flat-segment parser and its zero-copy
+// FuzzSegmentLookup hammers the SSG2 flat-segment parser and its zero-copy
 // lookup path: Parse must reject anything structurally unsound, and
 // whatever it accepts must survive lookups and a full blend without
 // panicking or reading out of bounds. Seeds cover a valid flat segment,
-// a truncated index, an off-by-one entry offset, and a v1 segment (which
-// the flat parser must refuse — format sniffing handles it upstream).
+// a truncated index, an off-by-one entry offset, and a retired v1
+// segment, which must be refused.
 func FuzzSegmentLookup(f *testing.F) {
 	valid := EncodeSegment(&serving.RetailerRecs{
 		Recs: map[catalog.ItemID]inference.ItemRecs{
@@ -93,10 +103,7 @@ func FuzzSegmentLookup(f *testing.F) {
 		binary.LittleEndian.PutUint32(offByOne[20:24], off+1)
 	}
 	f.Add(offByOne)
-	f.Add(EncodeSegmentV1(&serving.RetailerRecs{ // old format: must be refused here
-		Recs:       map[catalog.ItemID]inference.ItemRecs{1: {Item: 1, View: []hybrid.Scored{{Item: 0, Score: 1}}}},
-		TopSellers: []catalog.ItemID{0, 1},
-	}))
+	f.Add(v1Segment)
 	// A valid segment with the dfs integrity footer still attached: extra
 	// trailing bytes must fail the exact-length check, never parse.
 	f.Add(dfs.AppendFooter(valid))
@@ -105,6 +112,9 @@ func FuzzSegmentLookup(f *testing.F) {
 		fl, err := segment.Parse(data)
 		if err != nil {
 			return // rejected input; the only requirement is no panic
+		}
+		if bytes.HasPrefix(data, []byte("SSEG")) {
+			t.Fatal("parsed a v1 segment")
 		}
 		// Walk the whole index and every list entry: any out-of-bounds
 		// layout Parse failed to reject panics here.

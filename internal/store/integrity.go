@@ -13,8 +13,8 @@ import (
 // Storage integrity: corruption of a blob the store depends on must be a
 // detected, attributed, and self-healed event — never a corrupt
 // /recommend response. Detection is two-layer (the dfs integrity footer,
-// then the structural decoders for blobs whose footer itself was
-// destroyed), and every incident funnels through the same machinery here:
+// then the structural decoders as defence in depth: bytes that verify but
+// do not parse), and every incident funnels through the same machinery here:
 // it is counted in sigmund_integrity_corrupt_total, the path is
 // quarantined, and repair is attempted — first by re-reading the
 // filesystem (transient read rot), then by re-replicating from a healthy
@@ -128,9 +128,9 @@ func (st *Store) fetchVerified(path string) (*serving.RetailerRecs, bool, error)
 				}
 				return rr, false, nil
 			}
-			// Structural decode failure: the bytes are there but not the
-			// shape that was written — corruption that destroyed the
-			// footer (truncation, a flip in the footer magic) lands here.
+			// Structural decode failure: the bytes verified but are not
+			// a segment — not the shape that was written. Counted as the
+			// same integrity event as a footer failure.
 			err = derr
 			integrity = true
 		} else if isIntegrityErr(err) {

@@ -2,7 +2,6 @@ package store
 
 import (
 	"bytes"
-	"errors"
 	"reflect"
 	"testing"
 
@@ -115,22 +114,23 @@ func TestChaosIntegrityDrill(t *testing.T) {
 		}
 	}
 
-	// At-rest rot between publishes: flip one bit inside retailer-003's
-	// committed gen-2 segment image on the shelf (the raw writer bypasses
-	// the footer, so the stored blob carries a checksum that no longer
-	// matches). Serving is untouched — replicas hold verified in-memory
-	// copies — and the scrubber detects the rot and re-replicates the blob
-	// from a replica.
+	// At-rest rot between publishes: rewrite retailer-003's committed
+	// gen-2 segment with one bit of its stored image flipped (a BitFlip
+	// write rule garbles the image after its footer is computed, so the
+	// blob no longer verifies). Serving is untouched — replicas hold
+	// verified in-memory copies — and the scrubber detects the rot and
+	// re-replicates the blob from a replica.
 	target := segmentPath(2, retailers[3])
 	clean, err := victimFS.Read(target)
 	if err != nil {
 		t.Fatalf("reading %s before rot: %v", target, err)
 	}
-	image := dfs.AppendFooter(clean)
-	image[7] ^= 0x20
-	if err := victimFS.WriteLegacy(target, image); err != nil {
+	victimFS.SetInjector(faults.NewInjector(3, faults.Rule{Ops: []faults.Op{faults.OpWrite},
+		Kind: faults.BitFlip, PathContains: target, EveryNth: 1, Times: 1}))
+	if err := victimFS.Write(target, clean); err != nil {
 		t.Fatalf("planting at-rest rot: %v", err)
 	}
+	victimFS.SetInjector(nil)
 	if got := serve(victim, retailers[3]); !reflect.DeepEqual(got, want[retailers[3]]) {
 		t.Fatalf("at-rest rot leaked into serving: %+v", got)
 	}
@@ -369,9 +369,10 @@ func TestScrubResetsCorruptGuardBaseline(t *testing.T) {
 	st := New(fs, Options{Shards: 1, Replicas: 1, CacheSize: -1})
 	defer st.Close()
 	fs.Write("guard/baselines/shop-a", []byte(`{"map10":0.5,"days":3}`))
-	rotten := dfs.AppendFooter([]byte(`{"map10":0.9,"days":9}`))
-	rotten[3] ^= 1
-	fs.WriteLegacy("guard/baselines/shop-b", rotten)
+	fs.SetInjector(faults.NewInjector(1, faults.Rule{Ops: []faults.Op{faults.OpWrite},
+		Kind: faults.BitFlip, PathContains: "guard/baselines/shop-b", EveryNth: 1, Times: 1}))
+	fs.Write("guard/baselines/shop-b", []byte(`{"map10":0.9,"days":9}`))
+	fs.SetInjector(nil)
 
 	rep := st.ScrubOnce()
 	if rep.Corrupt != 1 {
@@ -385,24 +386,5 @@ func TestScrubResetsCorruptGuardBaseline(t *testing.T) {
 	}
 	if q := st.QuarantinedBlobs(); len(q) != 0 {
 		t.Fatalf("reset baseline left quarantine: %v", q)
-	}
-}
-
-// TestPrepareWithoutResolverKeepsStrictSemantics: internal callers that
-// pass no resolver (none remain, but the contract is load-bearing for the
-// fallback ladder) still fail the whole load on a bad segment.
-func TestPrepareWithoutResolverKeepsStrictSemantics(t *testing.T) {
-	fs := dfs.New()
-	st := New(fs, Options{Shards: 1, Replicas: 1, CacheSize: -1})
-	defer st.Close()
-	st.Publish(integritySnapshot(1, "shop-a"))
-	if err := st.PublishErr(); err != nil {
-		t.Fatal(err)
-	}
-	fs.Delete(segmentPath(1, "shop-a"))
-	rep := newReplica(0, 9, st.opts)
-	err := rep.prepare(fs, 1, st.shardEntries(st.man, 0), nil)
-	if !errors.Is(err, dfs.ErrNotExist) {
-		t.Fatalf("strict prepare err = %v, want ErrNotExist", err)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"sigmund/internal/catalog"
-	"sigmund/internal/dfs"
 	"sigmund/internal/faults"
 	"sigmund/internal/interactions"
 	"sigmund/internal/obs"
@@ -166,10 +165,13 @@ func (rep *Replica) get(ctx context.Context, r catalog.RetailerID, uctx interact
 	if canaryArm && rep.canaryServes(r) {
 		srv = rep.canary
 	}
-	recs, src := srv.RecommendWithSource(r, uctx, k)
+	// The generation reported is the answering snapshot's own, never a
+	// separate Version read: a commit landing mid-request must not label
+	// generation N−1 content as N (the store caches answers under it).
+	recs, src, gen := srv.RecommendVersioned(r, uctx, k)
 	rep.consecFails.Store(0)
 	rep.served.Add(1)
-	return recs, src, rep.srv.Version(), nil
+	return recs, src, gen, nil
 }
 
 // canaryServes reports whether this replica holds canary data for the
@@ -193,8 +195,8 @@ func (rep *Replica) canaryServes(r catalog.RetailerID) bool {
 // when repair fails, the replica keeps its own current copy of that
 // tenant — gen N−1, marked degraded with phase "integrity" — so a corrupt
 // blob degrades freshness, never correctness. res carries the store-level
-// integrity machinery; a nil res restores strict fail-the-load semantics.
-func (rep *Replica) prepare(fs *dfs.FS, gen int64, entries []ManifestEntry, res *segmentResolver) error {
+// integrity machinery.
+func (rep *Replica) prepare(gen int64, entries []ManifestEntry, res *segmentResolver) error {
 	if rep.down.Load() {
 		return errReplicaDown{rep.shard, rep.idx}
 	}
@@ -215,7 +217,7 @@ func (rep *Replica) prepare(fs *dfs.FS, gen int64, entries []ManifestEntry, res 
 		Status:    make(map[catalog.RetailerID]*serving.TenantStatus, len(entries)),
 	}
 	for _, e := range entries {
-		rr, integrity, err := rep.loadEntry(fs, e, res, false)
+		rr, integrity, err := rep.loadEntry(e, res, false)
 		ts := e.status()
 		if err != nil {
 			if !integrity {
@@ -249,7 +251,7 @@ func (rep *Replica) prepare(fs *dfs.FS, gen int64, entries []ManifestEntry, res 
 		if e.CanarySegment == "" {
 			continue
 		}
-		rr, integrity, err := rep.loadEntry(fs, e, res, true)
+		rr, integrity, err := rep.loadEntry(e, res, true)
 		if err != nil {
 			if !integrity {
 				return fmt.Errorf("store: replica %d/%d loading canary %s: %w", rep.shard, rep.idx, e.Retailer, err)
@@ -273,21 +275,11 @@ func (rep *Replica) prepare(fs *dfs.FS, gen int64, entries []ManifestEntry, res 
 // with verification. With a resolver, detection and the escalating repair
 // ladder run here: verified re-reads first (inside fetchVerified), then a
 // healthy peer replica's in-memory copy, which also heals the file on
-// shared storage for every future reader. Without a resolver it is a
-// plain read + decode and integrity is never reported, restoring the old
-// strict fail-the-load semantics.
-func (rep *Replica) loadEntry(fs *dfs.FS, e ManifestEntry, res *segmentResolver, canary bool) (*serving.RetailerRecs, bool, error) {
+// shared storage for every future reader.
+func (rep *Replica) loadEntry(e ManifestEntry, res *segmentResolver, canary bool) (*serving.RetailerRecs, bool, error) {
 	path := e.Segment
 	if canary {
 		path = e.CanarySegment
-	}
-	if res == nil {
-		data, err := fs.Read(path)
-		if err != nil {
-			return nil, false, err
-		}
-		rr, err := DecodeSegment(data)
-		return rr, false, err
 	}
 	rr, integrity, err := res.st.fetchVerified(path)
 	if err == nil {
@@ -308,7 +300,7 @@ func (rep *Replica) loadEntry(fs *dfs.FS, e ManifestEntry, res *segmentResolver,
 // segmentBytes re-encodes this replica's committed in-memory copy of one
 // manifest entry's segment, or nil when the replica does not hold exactly
 // the referenced version. This is the redundancy the repair path draws
-// on: for flat (v2) segments the encoding is the original blob bytes.
+// on: for flat segments the encoding is the original blob bytes.
 func (rep *Replica) segmentBytes(e ManifestEntry, canary bool) []byte {
 	r, version := e.Retailer, e.RecsVersion
 	rep.mu.Lock()

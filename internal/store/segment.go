@@ -1,11 +1,8 @@
 package store
 
 import (
-	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 
 	"sigmund/internal/catalog"
@@ -22,18 +19,12 @@ import (
 // recovering later can still rebuild the full generation from the
 // filesystem alone.
 //
-// Two wire formats coexist. The publish phase emits v2 ("SSG2",
-// internal/segment): a flat offset-indexed layout replicas serve directly
-// from the loaded bytes with no per-tenant map reconstruction. The legacy
-// v1 format ("SSEG", length-prefixed per-item payloads) is still decoded —
-// carry-forward manifests can point at segment files written before the
-// format change, and those must keep serving until every tenant has
-// published a fresh generation past them.
+// A segment is an SSG2 flat segment (internal/segment): an offset-indexed
+// layout replicas serve directly from the loaded bytes, with no
+// per-tenant map reconstruction.
 
-const segMagic = "SSEG"
-
-// EncodeSegment serializes one retailer's materialized recommendations in
-// the v2 flat format. Flat-backed recs pass through byte-for-byte (their
+// EncodeSegment serializes one retailer's materialized recommendations as
+// an SSG2 segment. Flat-backed recs pass through byte-for-byte (their
 // bytes ARE the canonical encoding); map-backed recs are packed into the
 // canonical sorted layout.
 func EncodeSegment(rr *serving.RetailerRecs) []byte {
@@ -47,105 +38,15 @@ func EncodeSegment(rr *serving.RetailerRecs) []byte {
 	return segment.Encode(items, rr.TopSellers)
 }
 
-// EncodeSegmentV1 serializes recommendations in the legacy v1 format.
-// Only tests use it now, to prove the mixed-format carry-forward path.
-func EncodeSegmentV1(rr *serving.RetailerRecs) []byte {
-	var buf bytes.Buffer
-	buf.WriteString(segMagic)
-	var b4 [4]byte
-	// Items sorted by id so the encoding is byte-deterministic.
-	ids := make([]catalog.ItemID, 0, len(rr.Recs))
-	for id := range rr.Recs {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	binary.LittleEndian.PutUint32(b4[:], uint32(len(ids)))
-	buf.Write(b4[:])
-	for _, id := range ids {
-		payload := inference.EncodeItemRecs(rr.Recs[id])
-		binary.LittleEndian.PutUint32(b4[:], uint32(len(payload)))
-		buf.Write(b4[:])
-		buf.Write(payload)
-	}
-	binary.LittleEndian.PutUint32(b4[:], uint32(len(rr.TopSellers)))
-	buf.Write(b4[:])
-	for _, id := range rr.TopSellers {
-		binary.LittleEndian.PutUint32(b4[:], uint32(id))
-		buf.Write(b4[:])
-	}
-	return buf.Bytes()
-}
-
-// DecodeSegment sniffs the format magic and decodes either generation of
-// segment: v2 validates in place and returns a zero-copy flat-backed
-// RetailerRecs (retaining data, which must stay immutable); v1 decodes
-// into the map-backed heap form.
+// DecodeSegment validates an SSG2 segment in place and returns it as a
+// zero-copy flat-backed RetailerRecs (retaining data, which must stay
+// immutable). Any structural failure wraps segment.ErrMalformed.
 func DecodeSegment(data []byte) (*serving.RetailerRecs, error) {
-	if segment.IsFlat(data) {
-		f, err := segment.Parse(data)
-		if err != nil {
-			return nil, fmt.Errorf("store: %w", err)
-		}
-		return &serving.RetailerRecs{Flat: f}, nil
+	f, err := segment.Parse(data)
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
 	}
-	return decodeSegmentV1(data)
-}
-
-// decodeSegmentV1 reverses EncodeSegmentV1.
-func decodeSegmentV1(data []byte) (*serving.RetailerRecs, error) {
-	r := bytes.NewReader(data)
-	magic := make([]byte, len(segMagic))
-	if _, err := io.ReadFull(r, magic); err != nil || string(magic) != segMagic {
-		return nil, fmt.Errorf("store: bad segment encoding (magic %q, err %v)", magic, err)
-	}
-	var b4 [4]byte
-	if _, err := io.ReadFull(r, b4[:]); err != nil {
-		return nil, fmt.Errorf("store: truncated segment header: %w", err)
-	}
-	n := int(binary.LittleEndian.Uint32(b4[:]))
-	// Every item costs at least its 4-byte length prefix, so a count the
-	// remaining bytes cannot cover is corruption — reject it before
-	// allocating anything sized by it.
-	if n > r.Len()/4 {
-		return nil, fmt.Errorf("store: segment claims %d items in %d bytes", n, r.Len())
-	}
-	rr := &serving.RetailerRecs{Recs: make(map[catalog.ItemID]inference.ItemRecs, n)}
-	for i := 0; i < n; i++ {
-		if _, err := io.ReadFull(r, b4[:]); err != nil {
-			return nil, fmt.Errorf("store: truncated segment at item %d: %w", i, err)
-		}
-		size := int(binary.LittleEndian.Uint32(b4[:]))
-		if size > r.Len() {
-			return nil, fmt.Errorf("store: segment item %d claims %d bytes, %d remain", i, size, r.Len())
-		}
-		payload := make([]byte, size)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return nil, fmt.Errorf("store: truncated segment payload at item %d: %w", i, err)
-		}
-		ir, err := inference.DecodeItemRecs(payload)
-		if err != nil {
-			return nil, fmt.Errorf("store: decoding segment item %d: %w", i, err)
-		}
-		rr.Recs[ir.Item] = ir
-	}
-	if _, err := io.ReadFull(r, b4[:]); err != nil {
-		return nil, fmt.Errorf("store: truncated top-sellers header: %w", err)
-	}
-	k := int(binary.LittleEndian.Uint32(b4[:]))
-	if k > r.Len()/4 {
-		return nil, fmt.Errorf("store: segment claims %d top sellers in %d bytes", k, r.Len())
-	}
-	rr.TopSellers = make([]catalog.ItemID, 0, k)
-	for i := 0; i < k; i++ {
-		if _, err := io.ReadFull(r, b4[:]); err != nil {
-			return nil, fmt.Errorf("store: truncated top-sellers list: %w", err)
-		}
-		rr.TopSellers = append(rr.TopSellers, catalog.ItemID(binary.LittleEndian.Uint32(b4[:])))
-	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("store: %d trailing bytes in segment", r.Len())
-	}
-	return rr, nil
+	return &serving.RetailerRecs{Flat: f}, nil
 }
 
 // Manifest describes one published generation: for every retailer, which

@@ -51,7 +51,7 @@ func TestSegmentRoundTrip(t *testing.T) {
 		t.Fatalf("DecodeSegment: %v", err)
 	}
 	if got.Flat == nil {
-		t.Fatal("v2 decode should be flat-backed, got a map")
+		t.Fatal("decode should be flat-backed, got a map")
 	}
 	gotRecs, gotTop := materialized(t, got)
 	if !reflect.DeepEqual(rr.Recs, gotRecs) {
@@ -66,33 +66,6 @@ func TestSegmentRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSegmentV1Compatibility proves carry-forward manifests still work:
-// bytes written by the previous encoder decode into the same logical recs
-// the v2 path serves.
-func TestSegmentV1Compatibility(t *testing.T) {
-	rr := testRetailerRecs()
-	old, err := DecodeSegment(EncodeSegmentV1(rr))
-	if err != nil {
-		t.Fatalf("decoding v1 segment: %v", err)
-	}
-	if old.Flat != nil {
-		t.Fatal("v1 decode should be map-backed")
-	}
-	if !reflect.DeepEqual(rr.Recs, old.Recs) || !reflect.DeepEqual(rr.TopSellers, old.TopSellers) {
-		t.Fatalf("v1 round trip mismatch: %+v", old)
-	}
-	// Old-encode → new-serve: re-encoding the v1 decode lands in v2, and
-	// the flat view answers lookups with the original lists.
-	fresh, err := DecodeSegment(EncodeSegment(old))
-	if err != nil {
-		t.Fatalf("re-encoding v1 decode: %v", err)
-	}
-	freshRecs, freshTop := materialized(t, fresh)
-	if !reflect.DeepEqual(rr.Recs, freshRecs) || !reflect.DeepEqual(rr.TopSellers, freshTop) {
-		t.Fatalf("v1 → v2 migration lost data:\n  in:  %+v\n  out: %+v", rr.Recs, freshRecs)
-	}
-}
-
 func TestSegmentDeterministic(t *testing.T) {
 	rr := testRetailerRecs()
 	if !bytes.Equal(EncodeSegment(rr), EncodeSegment(rr)) {
@@ -104,11 +77,11 @@ func TestSegmentRejectsGarbage(t *testing.T) {
 	cases := [][]byte{
 		nil,
 		[]byte("BOGUS"),
-		EncodeSegment(testRetailerRecs())[:10], // truncated v2
-		append(EncodeSegment(testRetailerRecs()), 0xde, 0xad),        // trailing bytes (v2)
-		EncodeSegmentV1(testRetailerRecs())[:10],                     // truncated v1
-		append(EncodeSegmentV1(testRetailerRecs()), 0xde),            // trailing bytes (v1)
-		append([]byte(segMagic), 0xff, 0xff, 0xff, 0xff, 0x00, 0x00), // absurd v1 count
+		EncodeSegment(testRetailerRecs())[:10], // truncated
+		append(EncodeSegment(testRetailerRecs()), 0xde, 0xad), // trailing bytes
+		v1Segment,                              // the retired v1 format, well formed
+		v1Segment[:10],                         // truncated v1
+		[]byte("SSEG\xff\xff\xff\xff\x00\x00"), // absurd v1 count
 	}
 	for i, data := range cases {
 		if _, err := DecodeSegment(data); err == nil {

@@ -616,7 +616,7 @@ func (st *Store) catchUp(sh *shard, rep *Replica) error {
 			return fmt.Errorf("store: catch-up manifest for shard %d: %w", sh.id, err)
 		}
 	}
-	if err := rep.prepare(st.fs, gen, st.shardEntries(man, sh.id), &segmentResolver{st: st, sh: sh}); err != nil {
+	if err := rep.prepare(gen, st.shardEntries(man, sh.id), &segmentResolver{st: st, sh: sh}); err != nil {
 		return err
 	}
 	rep.commit(gen)
@@ -784,7 +784,7 @@ func (st *Store) PublishGeneration(snap *serving.Snapshot) error {
 				continue
 			}
 			loadStart := time.Now()
-			if err := rep.prepare(st.fs, gen, mine, &segmentResolver{st: st, sh: sh}); err != nil {
+			if err := rep.prepare(gen, mine, &segmentResolver{st: st, sh: sh}); err != nil {
 				rep.abort()
 				continue
 			}
